@@ -24,7 +24,7 @@ import numpy as np
 
 from .asymptotics import grid_weights
 from .errors import GridTooCoarseWarning, InvalidParameter, Singular
-from .seqeval import ValueTable, floor_value
+from .seqeval import ValueTable, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
@@ -60,10 +60,7 @@ def smooth_exp_sum(w: WindowParams, alpha: float) -> complex:
 def _integer_freqs(w: WindowParams) -> np.ndarray:
     lo = math.floor(w.delta1) + 1
     hi = math.floor(w.delta2)
-    return np.array(
-        [floor_value(n, w.c, w.theta).f for n in range(lo, hi + 1)],
-        dtype=np.int64,
-    )
+    return value_table(np.arange(lo, hi + 1), w.c, w.theta).f
 
 
 def integer_exp_sum(w: WindowParams, alpha: float) -> complex:

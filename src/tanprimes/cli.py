@@ -3,48 +3,34 @@
 Exit codes: 0 success, 1 selftest failure, 2 usage, 3 domain error,
 4 resource guard. Thread count comes from --threads or TANPRIMES_THREADS
 and never changes numeric output, only wall time.
+
+Each subcommand runs on the argparse namespace and returns two callables,
+one building its JSON object and one writing its CSV text (None where only
+JSON exists); main calls only the one the --format asks for.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+import warnings
+from fractions import Fraction
 
 from . import asymptotics, circle, exponents, repcount
-from .errors import ResourceError, TanprimesError, UsageError
+from .errors import TanprimesError, UsageError
 from .primesieve import sieve_segment
 from .seqeval import table_to_csv, value_table
-from .window import WindowParams, solve_for_target, window_from_index
+from .window import WindowParams, solve_for_target, weight, window_from_index
 
 
-@dataclass
-class RunConfig:
-    command: str
-    c: float
-    theta: float
-    epsilon: float
-    k: Optional[int]
-    N: Optional[int]
-    band: Optional[tuple[int, int]]
-    grid: Optional[int]
-    threads: int
-    out_format: str
-    out_path: str
-    seed: int
-    offset: int = 0
-    target: Optional[int] = None
-    kind: str = "prime"
-
-
-def _parse_band(text: str) -> tuple[int, int]:
+def _band(text: str) -> tuple[int, int]:
+    # the argparse type of --band; argparse lets a UsageError through, so
+    # main still prints it under the "usage error" prefix
     try:
-        lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = map(int, text.split(":", 1))
     except ValueError as exc:
         raise UsageError(f"--band expects LO:HI integers, got {text!r}") from exc
     if lo > hi:
@@ -52,17 +38,15 @@ def _parse_band(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_threads(flag_value: Optional[int]) -> int:
+def _resolve_threads(flag_value: int | None) -> int:
     env = os.environ.get("TANPRIMES_THREADS")
     if env is not None:
         try:
             n = int(env)
         except ValueError as exc:
             raise UsageError(f"TANPRIMES_THREADS must be an integer, got {env!r}") from exc
-    elif flag_value is not None:
-        n = flag_value
     else:
-        n = 1
+        n = 1 if flag_value is None else flag_value
     if n < 1:
         raise UsageError(f"thread count must be positive, got {n}")
     return n
@@ -76,245 +60,175 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, selector=True):
-        sp.add_argument("--c", type=float, default=1.02, help="sequence exponent (default 1.02)")
-        sp.add_argument("--theta", type=float, default=1.5, help="tangent power (default 1.5)")
-        sp.add_argument("--epsilon", type=float, default=0.05, help="arc-width padding (default 0.05)")
-        if selector:
+    def output(sp, help=None):
+        sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--out", dest="out_path", default="-", help=help)
+
+    def add(name, run, help, window=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        if window:
+            sp.add_argument("--c", type=float, default=1.02, help="sequence exponent (default 1.02)")
+            sp.add_argument("--theta", type=float, default=1.5, help="tangent power (default 1.5)")
+            sp.add_argument("--epsilon", type=float, default=0.05, help="arc-width padding (default 0.05)")
             g = sp.add_mutually_exclusive_group(required=True)
             g.add_argument("--k", type=int, help="window index")
             g.add_argument("--N", type=int, help="target that must solve the window equation")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (TANPRIMES_THREADS overrides; wall time only)")
-        sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", dest="out_path", default="-", help="output path, - for stdout")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled diagnostics")
+            sp.add_argument("--threads", type=int, default=None,
+                            help="worker threads (TANPRIMES_THREADS overrides; wall time only)")
+            output(sp, help="output path, - for stdout")
+        return sp
 
-    sp = sub.add_parser("window", help="print the window parameters")
-    common(sp)
-
-    sp = sub.add_parser("count", help="ternary representation count at one target")
-    common(sp)
+    add("window", _cmd_window, "print the window parameters")
+    sp = add("count", _cmd_count, "ternary representation count at one target")
     sp.add_argument("--offset", type=int, default=0, help="count at n_star + offset")
-
-    sp = sub.add_parser("scan", help="counts across a band of targets")
-    common(sp)
-    sp.add_argument("--band", required=True, help="offsets LO:HI relative to n_star")
-
-    sp = sub.add_parser("compare", help="scan plus main-term ratios")
-    common(sp)
-    sp.add_argument("--band", required=True, help="offsets LO:HI relative to n_star")
-
-    sp = sub.add_parser("binary", help="search a two-prime representation")
-    common(sp)
+    for name, run, help in (("scan", _cmd_scan, "counts across a band of targets"),
+                            ("compare", _cmd_compare, "scan plus main-term ratios")):
+        sp = add(name, run, help)
+        sp.add_argument("--band", type=_band, required=True,
+                        help="offsets LO:HI relative to n_star")
+    sp = add("binary", _cmd_binary, "search a two-prime representation")
     sp.add_argument("--offset", type=int, default=0)
-
-    sp = sub.add_parser("values", help="certified value table for the window primes")
-    common(sp)
-
-    sp = sub.add_parser("classical", help="plain-power variant at one target")
+    add("values", _cmd_values, "certified value table for the window primes")
+    sp = add("classical", _cmd_classical, "plain-power variant at one target", window=False)
     sp.add_argument("--c", type=float, default=1.02)
     sp.add_argument("--target", type=int, required=True)
-    sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", dest="out_path", default="-")
-
-    sp = sub.add_parser("expsum", help="exponential sum samples on an alpha grid")
-    common(sp)
+    output(sp)
+    sp = add("expsum", _cmd_expsum, "exponential sum samples on an alpha grid")
     sp.add_argument("--kind", choices=("prime", "smooth", "integer"), default="prime")
     sp.add_argument("--grid", type=int, default=256, help="number of alpha samples")
-
-    sp = sub.add_parser("exponents", help="exact exponent chain and prior bounds")
-    sp.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", dest="out_path", default="-")
-
-    sp = sub.add_parser("selftest", help="run the built-in identity checks")
+    output(add("exponents", _cmd_exponents, "exact exponent chain and prior bounds",
+               window=False))
+    add("selftest", None, "run the built-in identity checks", window=False)
     return p
 
 
-def _make_window(cfg: RunConfig) -> tuple[WindowParams, Optional[float]]:
-    if cfg.k is not None:
-        return window_from_index(cfg.k, cfg.c, cfg.theta, cfg.epsilon), None
-    w, residual = solve_for_target(cfg.N, cfg.c, cfg.theta, cfg.epsilon)
-    return w, residual
+def _window(a) -> tuple[WindowParams, float | None]:
+    """The window of --k, or the one solved from --N with its residual."""
+    if a.k is not None:
+        return window_from_index(a.k, a.c, a.theta, a.epsilon), None
+    return solve_for_target(a.N, a.c, a.theta, a.epsilon)
 
 
-def _window_table(w: WindowParams, threads: int):
+def _table(w: WindowParams, threads: int):
+    """Certified value table and log weights of the window's primes."""
     block = sieve_segment(w.delta1, w.delta2, threads=threads)
-    values = value_table(block.primes, w.c, w.theta)
-    return values, block.logs
+    return value_table(block.primes, w.c, w.theta), block.logs
 
 
-def _emit(text: str, out_path: str) -> None:
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _cmd_window(a):
+    w, residual = _window(a)
+    extra = {} if residual is None else {"solve_residual": residual}
+    return lambda: {**dataclasses.asdict(w), **extra}, None
 
 
-def _json_window(w: WindowParams) -> dict:
-    return dataclasses.asdict(w)
+def _cmd_count(a):
+    w, _ = _window(a)
+    rep = repcount.count_ternary_mitm(*_table(w, a.threads), w.n_star + a.offset, w=w)
+    return (lambda: {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
+                     "method": rep.method, "window": dataclasses.asdict(w)},
+            lambda fh: repcount.scan_to_csv([rep], fh))
 
 
-def _cmd_window(cfg: RunConfig) -> str:
-    w, residual = _make_window(cfg)
-    obj = _json_window(w)
-    if residual is not None:
-        obj["solve_residual"] = residual
-    return json.dumps(obj, sort_keys=True) + "\n"
+def _band_reports(a):
+    w, _ = _window(a)
+    repcount.check_pair_span(repcount.pair_span_bound(w))  # before any sieving
+    values, logs = _table(w, a.threads)
+    lo, hi = a.band
+    return w, repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
 
 
-def _cmd_count(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    values, logs = _window_table(w, cfg.threads)
-    N = w.n_star + cfg.offset
-    rep = repcount.count_ternary_mitm(values, logs, N, w=w)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "N": rep.target, "count": rep.count, "weighted": rep.weighted,
-            "method": rep.method, "window": _json_window(w),
-        }, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    repcount.scan_to_csv([rep], buf)
-    return buf.getvalue()
+def _cmd_scan(a):
+    w, reports = _band_reports(a)
+    return (lambda: {"rows": [{"N": r.target, "count": r.count, "weighted": r.weighted}
+                              for r in reports],
+                     "window": dataclasses.asdict(w)},
+            lambda fh: repcount.scan_to_csv(reports, fh))
 
 
-def _cmd_scan(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    values, logs = _window_table(w, cfg.threads)
-    lo, hi = cfg.band
-    reports = repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "rows": [{"N": r.target, "count": r.count, "weighted": r.weighted}
-                     for r in reports],
-            "window": _json_window(w),
-        }, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    repcount.scan_to_csv(reports, buf)
-    return buf.getvalue()
-
-
-def _cmd_compare(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    values, logs = _window_table(w, cfg.threads)
-    lo, hi = cfg.band
-    reports = repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
+def _cmd_compare(a):
+    w, reports = _band_reports(a)
     rows = asymptotics.compare_report(reports, w)
     stats = asymptotics.band_stats(reports, rows)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "rows": [{"N": r.target, "count": rep.count, "weighted": r.observed,
-                      "main_term": r.main_term, "ratio": r.ratio}
-                     for rep, r in zip(reports, rows)],
-            "stats": stats,
-            "window": _json_window(w),
-        }, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    asymptotics.compare_to_csv(reports, rows, buf)
-    return buf.getvalue()
+    return (lambda: {"rows": [{"N": r.target, "count": rep.count, "weighted": r.observed,
+                               "main_term": r.main_term, "ratio": r.ratio}
+                              for rep, r in zip(reports, rows)],
+                     "stats": stats, "window": dataclasses.asdict(w)},
+            lambda fh: asymptotics.compare_to_csv(reports, rows, fh))
 
 
-def _cmd_binary(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    values, logs = _window_table(w, cfg.threads)
-    N = w.n_star + cfg.offset
-    pair = repcount.find_binary(values, logs, N)
-    return json.dumps({
-        "N": N,
-        "pair": list(pair) if pair is not None else None,
-    }, sort_keys=True) + "\n"
+def _cmd_binary(a):
+    w, _ = _window(a)
+    N = w.n_star + a.offset
+    pair = repcount.find_binary(*_table(w, a.threads), N)
+    return lambda: {"N": N, "pair": list(pair) if pair is not None else None}, None
 
 
-def _cmd_values(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    values, _logs = _window_table(w, cfg.threads)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "rows": [{"n": int(values.n[i]), "f": int(values.f[i]),
-                      "frac": float(values.frac[i]),
-                      "certified": bool(values.certified[i])}
-                     for i in range(len(values))],
-            "window": _json_window(w),
-        }, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    table_to_csv(values, buf)
-    return buf.getvalue()
+def _cmd_values(a):
+    w, _ = _window(a)
+    values, _logs = _table(w, a.threads)
+    return (lambda: {"rows": [{"n": int(values.n[i]), "f": int(values.f[i]),
+                               "frac": float(values.frac[i]),
+                               "certified": bool(values.certified[i])}
+                              for i in range(len(values))],
+                     "window": dataclasses.asdict(w)},
+            lambda fh: table_to_csv(values, fh))
 
 
-def _cmd_classical(cfg: RunConfig) -> str:
-    rep = repcount.count_classical(cfg.c, cfg.target)
-    mt = asymptotics.classical_main_term(cfg.c, cfg.target)
+def _cmd_classical(a):
+    rep = repcount.count_classical(a.c, a.target)
+    mt = asymptotics.classical_main_term(a.c, a.target)
     ratio = rep.weighted / mt if mt > 0 else 0.0
-    if cfg.out_format == "json":
-        return json.dumps({
-            "N": rep.target, "count": rep.count, "weighted": rep.weighted,
-            "main_term": mt, "ratio": ratio,
-        }, sort_keys=True) + "\n"
-    return ("N,count,weighted,main_term,ratio\n"
-            f"{rep.target},{rep.count},{rep.weighted:.12g},{mt:.12g},{ratio:.12g}\n")
+    return (lambda: {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
+                     "main_term": mt, "ratio": ratio},
+            lambda fh: fh.write("N,count,weighted,main_term,ratio\n"
+                                f"{rep.target},{rep.count},{rep.weighted:.12g},"
+                                f"{mt:.12g},{ratio:.12g}\n"))
 
 
-def _cmd_expsum(cfg: RunConfig) -> str:
-    w, _ = _make_window(cfg)
-    M = cfg.grid
-    if M is None or M < 1:
+def _cmd_expsum(a):
+    w, _ = _window(a)
+    if a.grid < 1:
         raise UsageError("--grid must be a positive integer")
-    if cfg.kind == "prime":
-        values, logs = _window_table(w, cfg.threads)
-    else:
-        values, logs = None, None
-    alphas = [-0.5 + j / M for j in range(M)]
-    samples = circle.sum_samples(cfg.kind, alphas, w, values, logs)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "kind": cfg.kind,
-            "rows": [{"alpha": s.alpha, "re": s.value.real, "im": s.value.imag,
-                      "abs": abs(s.value)} for s in samples],
-            "window": _json_window(w),
-        }, sort_keys=True) + "\n"
-    lines = ["alpha,re,im,abs\n"]
-    for s in samples:
-        z = s.value
-        lines.append(f"{s.alpha:.12g},{z.real:.12g},{z.imag:.12g},{abs(z):.12g}\n")
-    return "".join(lines)
+    values, logs = _table(w, a.threads) if a.kind == "prime" else (None, None)
+    alphas = [-0.5 + j / a.grid for j in range(a.grid)]
+    samples = circle.sum_samples(a.kind, alphas, w, values, logs)
+
+    def write_csv(fh):
+        fh.write("alpha,re,im,abs\n")
+        for s in samples:
+            z = s.value
+            fh.write(f"{s.alpha:.12g},{z.real:.12g},{z.imag:.12g},{abs(z):.12g}\n")
+
+    return (lambda: {"kind": a.kind,
+                     "rows": [{"alpha": s.alpha, "re": s.value.real, "im": s.value.imag,
+                               "abs": abs(s.value)} for s in samples],
+                     "window": dataclasses.asdict(w)},
+            write_csv)
 
 
-def _cmd_exponents(cfg: RunConfig) -> str:
+def _cmd_exponents(a):
     table = exponents.chain_table()
     ordered = sorted(exponents.PRIOR_BOUNDS)
-    if cfg.out_format == "json":
-        return json.dumps({
-            "chain": table,
-            "admissible_c": str(exponents.admissible_c()),
-            "prior_bounds_sorted": [str(b) for b in ordered],
-        }, sort_keys=True) + "\n"
-    lines = ["step,exponent,at_boundary,note\n"]
-    for row in table:
-        lines.append(f"{row['step']},{row['exponent']},{row['at_boundary']},\"{row['note']}\"\n")
-    lines.append(f"prior_bounds_sorted,{' < '.join(str(b) for b in ordered)},,\n")
-    return "".join(lines)
+
+    def write_csv(fh):
+        fh.write("step,exponent,at_boundary,note\n")
+        for row in table:
+            fh.write(f"{row['step']},{row['exponent']},{row['at_boundary']},\"{row['note']}\"\n")
+        fh.write(f"prior_bounds_sorted,{' < '.join(str(b) for b in ordered)},,\n")
+
+    return (lambda: {"chain": table, "admissible_c": str(exponents.admissible_c()),
+                     "prior_bounds_sorted": [str(b) for b in ordered]},
+            write_csv)
 
 
-def _cmd_selftest() -> tuple[str, int]:
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, None))
-        except AssertionError as exc:
-            checks.append((name, str(exc) or "assertion failed"))
-        except Exception as exc:  # surface, never hide
-            checks.append((name, f"{type(exc).__name__}: {exc}"))
-
-    import warnings as _warnings
+def _selftest() -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = window_from_index(2, 1.05, 2.0)
+    values, logs = _table(w, 1)  # one k=2 window and table for every check
 
     def mitm_vs_naive():
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            w = window_from_index(2, 1.05, 2.0)
-        values, logs = _window_table(w, 1)
         for N in (w.n_star, w.n_star - 7, w.n_star + 13, 3 * int(values.f.min()) + 5):
             a = repcount.count_ternary_mitm(values, logs, N, w=w)
             b = repcount.count_ternary_naive(values, logs, N, w=w)
@@ -323,10 +237,6 @@ def _cmd_selftest() -> tuple[str, int]:
             assert abs(a.weighted - b.weighted) <= tol, f"weighted mismatch at N={N}"
 
     def quadrature_identity():
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            w = window_from_index(2, 1.05, 2.0)
-        values, logs = _window_table(w, 1)
         M = 3 * int(values.f.max()) + 1
         for N in (w.n_star, w.n_star - 3):
             rep = repcount.count_ternary_mitm(values, logs, N, w=w)
@@ -336,100 +246,53 @@ def _cmd_selftest() -> tuple[str, int]:
             assert abs(z.imag) <= tol, f"imaginary residue at N={N}"
 
     def convolution_identity():
-        from .window import weight
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            w = window_from_index(2, 1.05, 2.0)
         assert asymptotics.weight_convolution(w, w.n_star, 1) == weight(float(w.n_star), w)
 
     def exponent_ledger():
-        from fractions import Fraction
         assert exponents.admissible_c() == Fraction(23, 21)
         assert exponents.minor_arc_exponent(Fraction(23, 21)) == Fraction(20, 21)
         assert exponents.cutoffs(Fraction(23, 21)) == (Fraction(1, 21), Fraction(19, 63))
 
-    check("mitm_vs_naive", mitm_vs_naive)
-    check("quadrature_identity", quadrature_identity)
-    check("convolution_identity", convolution_identity)
-    check("exponent_ledger", exponent_ledger)
-
     lines = []
-    failed = 0
-    for name, err in checks:
-        if err is None:
-            lines.append(f"PASS {name}\n")
-        else:
-            failed += 1
-            lines.append(f"FAIL {name}: {err}\n")
-    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed\n")
-    return "".join(lines), (0 if failed == 0 else 1)
-
-
-def parse_args(argv) -> RunConfig:
-    parser = build_parser()
-    # glue "--band -2:2" into "--band=-2:2"; argparse reads a bare leading
-    # dash as an option even when the value is an offset pair
-    argv = list(argv)
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--band" and i + 1 < len(argv):
-            merged.append("--band=" + argv[i + 1])
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    ns = parser.parse_args(merged)
-    cfg = RunConfig(
-        command=ns.command,
-        c=getattr(ns, "c", 1.02),
-        theta=getattr(ns, "theta", 1.5),
-        epsilon=getattr(ns, "epsilon", 0.05),
-        k=getattr(ns, "k", None),
-        N=getattr(ns, "N", None),
-        band=_parse_band(ns.band) if getattr(ns, "band", None) else None,
-        grid=getattr(ns, "grid", None),
-        threads=_resolve_threads(getattr(ns, "threads", None)),
-        out_format=getattr(ns, "out_format", "csv"),
-        out_path=getattr(ns, "out_path", "-"),
-        seed=getattr(ns, "seed", 0),
-        offset=getattr(ns, "offset", 0),
-        target=getattr(ns, "target", None),
-        kind=getattr(ns, "kind", "prime"),
-    )
-    return cfg
+    for check in (mitm_vs_naive, quadrature_identity, convolution_identity, exponent_ledger):
+        try:
+            check()
+            lines.append(f"PASS {check.__name__}\n")
+        except AssertionError as exc:
+            lines.append(f"FAIL {check.__name__}: {str(exc) or 'assertion failed'}\n")
+        except Exception as exc:  # surface, never hide
+            lines.append(f"FAIL {check.__name__}: {type(exc).__name__}: {exc}\n")
+    passed = sum(line.startswith("PASS") for line in lines)
+    sys.stdout.write("".join(lines) + f"{passed}/{len(lines)} checks passed\n")
+    return 0 if passed == len(lines) else 1
 
 
 def main(argv=None) -> int:
+    # glue "--band -2:2" into "--band=-2:2"; argparse reads a bare leading
+    # dash as an option even when the value is an offset pair
+    argv = list(sys.argv[1:] if argv is None else argv)
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--band":
+            argv[i:i + 2] = ["--band=" + argv[i + 1]]
+        i += 1
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else argv)
-        if cfg.command == "selftest":
-            text, code = _cmd_selftest()
-            sys.stdout.write(text)
-            return code
-        dispatch = {
-            "window": _cmd_window,
-            "count": _cmd_count,
-            "scan": _cmd_scan,
-            "compare": _cmd_compare,
-            "binary": _cmd_binary,
-            "values": _cmd_values,
-            "classical": _cmd_classical,
-            "expsum": _cmd_expsum,
-            "exponents": _cmd_exponents,
-        }
-        text = dispatch[cfg.command](cfg)
-        _emit(text, cfg.out_path)
+        a = build_parser().parse_args(argv)
+        a.threads = _resolve_threads(getattr(a, "threads", None))
+        if a.command == "selftest":
+            return _selftest()
+        to_json, write_csv = a.run(a)
+        with (open(a.out_path, "w", encoding="utf-8", newline="") if a.out_path != "-"
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if write_csv is None or a.out_format == "json":
+                fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
+            else:
+                write_csv(fh)
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
     except TanprimesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        prefix = {2: "usage error", 4: "resource guard"}.get(exc.exit_code, "error")
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

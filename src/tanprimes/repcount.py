@@ -17,9 +17,9 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .errors import AmbiguousFloor, BandTooWide, InvalidParameter, TooLarge, WindowMismatch
+from .errors import BandTooWide, InvalidParameter, TooLarge, WindowMismatch
 from .primesieve import sieve_segment
-from .seqeval import AMBIGUOUS_ABS, GUARD_ABS, _ESCALATED_PREC, ValueTable
+from .seqeval import ValueTable, certified_floor
 from .window import WindowParams
 
 _NAIVE_GUARD = 10 ** 4
@@ -64,6 +64,24 @@ def _check_lengths(values: ValueTable, logs: np.ndarray) -> None:
         )
 
 
+def check_pair_span(span: int) -> None:
+    """Refuse dense pair tables of more than 2^26 sums, before they are built.
+
+    span is the number of pair sums, 2*(max f - min f) + 1, or an upper
+    bound for it such as pair_span_bound(w) when no table exists yet.
+    """
+    if span > _PAIR_SPAN_GUARD:
+        raise TooLarge(f"pair-sum span {span} exceeds the dense-array guard")
+
+
+def pair_span_bound(w: WindowParams) -> int:
+    """Upper bound on the pair-sum span of the window's table, from w alone.
+
+    t is increasing on the window, so every f(p) lies in [floor(n1), n_star].
+    """
+    return 2 * (w.n_star - math.floor(w.n1)) + 1
+
+
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
     n = len(f)
     if n == 0:
@@ -71,8 +89,7 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
     fmin = int(f.min())
     fmax = int(f.max())
     span = 2 * (fmax - fmin) + 1
-    if span > _PAIR_SPAN_GUARD:
-        raise TooLarge(f"pair-sum span {span} exceeds the dense-array guard")
+    check_pair_span(span)
     rel = (f - fmin).astype(np.int64)
     counts = np.zeros(span, dtype=np.int64)
     weights = np.zeros(span, dtype=np.float64)
@@ -199,17 +216,13 @@ def find_binary(
     return None
 
 
+def _exact_power(p: int, c: float):
+    return mp.mpf(p) ** c
+
+
 def _classical_floor(p: int, c: float) -> int:
-    # Same two-tier scheme as seqeval, for the plain power p^c.
-    v = p ** c
-    fl = math.floor(v)
-    if min(v - fl, 1.0 - (v - fl)) < GUARD_ABS:
-        with mp.workprec(_ESCALATED_PREC):
-            mv = mp.mpf(p) ** c
-            if abs(mv - mp.nint(mv)) < AMBIGUOUS_ABS:
-                raise AmbiguousFloor(f"p^c within 2^-40 of an integer at p={p}")
-            fl = int(mp.floor(mv))
-    return fl
+    # seqeval's two-tier floor, applied to the plain power p^c
+    return certified_floor(p ** c, _exact_power, p, c)[0]
 
 
 def count_classical(c: float, N: int) -> RepReport:

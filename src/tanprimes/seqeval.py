@@ -45,16 +45,46 @@ class ValueTable:
                           float(self.frac[i]), bool(self.certified[i]))
 
 
-def _escalated(n: int, c: float, theta: float) -> tuple[int, float]:
+def certified_floor(v: float, exact, n: int, *params) -> tuple[int, float, bool]:
+    """Floor and fractional part of the double v, certified near an integer.
+
+    v is trusted unless it lies within GUARD_ABS of an integer. Then
+    exact(n, *params) recomputes the value as an mpmath number at
+    _ESCALATED_PREC bits, and a value within AMBIGUOUS_ABS of an integer
+    raises AmbiguousFloor. The last item tells whether that path ran.
+    """
+    fl = math.floor(v)
+    frac = v - fl
+    if min(frac, 1.0 - frac) >= GUARD_ABS:
+        return fl, frac, False
     with mp.workprec(_ESCALATED_PREC):
-        v = mp.mpf(n) ** c * mp.tan(mp.log(n)) ** theta
-        nearest = mp.nint(v)
-        if abs(v - nearest) < AMBIGUOUS_ABS:
+        mv = exact(n, *params)
+        nearest = mp.nint(mv)
+        if abs(mv - nearest) < AMBIGUOUS_ABS:
             raise AmbiguousFloor(
                 f"value at n={n} is within 2^-40 of integer {int(nearest)}"
             )
-        fl = int(mp.floor(v))
-        return fl, float(v - fl)
+        fl = int(mp.floor(mv))
+        return fl, float(mv - fl), True
+
+
+def _exact_value(n: int, c: float, theta: float):
+    return mp.mpf(n) ** c * mp.tan(mp.log(n)) ** theta
+
+
+def _escalated(n: int, c: float, theta: float) -> tuple[int, float]:
+    # the high-precision tier alone (a double of 0.0 sits on an integer, so
+    # it always escalates); tests use it as the oracle for the double tier
+    return certified_floor(0.0, _exact_value, n, c, theta)[:2]
+
+
+def _certified(n: int, c: float, theta: float) -> tuple[int, float, bool]:
+    if n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+    tn = math.tan(math.log(n))
+    if tn <= 0.0:
+        raise DomainError(f"tan(log n) = {tn:.6g} <= 0 at n={n}")
+    return certified_floor(n ** c * tn ** theta, _exact_value, n, c, theta)
 
 
 def floor_value(n: int, c: float, theta: float) -> ValueEntry:
@@ -68,18 +98,7 @@ def floor_value(n: int, c: float, theta: float) -> ValueEntry:
         DomainError: tan(log n) <= 0, the sequence is undefined there.
         AmbiguousFloor: the value cannot be separated from an integer.
     """
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    tn = math.tan(math.log(n))
-    if tn <= 0.0:
-        raise DomainError(f"tan(log n) = {tn:.6g} <= 0 at n={n}")
-    v = n ** c * tn ** theta
-    fl = math.floor(v)
-    frac = v - fl
-    if min(frac, 1.0 - frac) < GUARD_ABS:
-        fl, frac = _escalated(n, c, theta)
-        return ValueEntry(n, fl, frac, True)
-    return ValueEntry(n, fl, frac, False)
+    return ValueEntry(n, *_certified(n, c, theta))
 
 
 def frac_norm(n: int, c: float, theta: float) -> float:
@@ -95,10 +114,7 @@ def value_table(ns, c: float, theta: float) -> ValueTable:
     frac = np.empty(len(ns), dtype=np.float64)
     cert = np.zeros(len(ns), dtype=bool)
     for i, n in enumerate(ns):
-        e = floor_value(int(n), c, theta)
-        f[i] = e.f
-        frac[i] = e.frac
-        cert[i] = e.certified
+        f[i], frac[i], cert[i] = _certified(int(n), c, theta)
     return ValueTable(n=ns, f=f, frac=frac, certified=cert)
 
 

@@ -16,6 +16,7 @@ from tanprimes import (
     find_binary,
     floor_value,
     scan_band,
+    sieve_segment,
     value_table,
 )
 from tanprimes.errors import (
@@ -25,7 +26,7 @@ from tanprimes.errors import (
     TooLarge,
     WindowMismatch,
 )
-from tanprimes.repcount import _classical_floor, build_pair_map, scan_to_csv
+from tanprimes.repcount import _classical_floor, build_pair_map, pair_span_bound, scan_to_csv
 
 
 def test_pair_map_total_mass(pairmap2, table2):
@@ -191,6 +192,17 @@ def test_window_mismatch(table2, block2):
         build_pair_map(table2, block2.logs[:-1])
     with pytest.raises(WindowMismatch):
         count_ternary_mitm(table2, block2.logs[:-1], 9000)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("c,theta", [(1.02, 1.5), (1.05, 2.0)])
+def test_pair_span_bound_from_window(k, c, theta):
+    # the CLI refuses scan/compare from this bound before sieving, so it
+    # must never undercut the span of the table it stands in for
+    w = quiet_window(k, c, theta)
+    t = value_table(sieve_segment(w.delta1, w.delta2).primes, c, theta)
+    span = 2 * (int(t.f.max()) - int(t.f.min())) + 1  # as _pair_map_from_arrays
+    assert span <= pair_span_bound(w) <= span * 1.02
 
 
 def test_naive_guard():
