@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandTooWide, InvalidParameter
-from .repcount import RepReport
+from .repcount import RepReport, self_convolution
 from .window import WindowParams, weight
 
 _GRID_GUARD = 10 ** 7
@@ -150,7 +150,7 @@ def singular_integral(w: WindowParams, lo: int, hi: int) -> np.ndarray:
     Entry N - lo is the sum over m1 + m2 + m3 = N, every m_i in the integer
     grid (n1, n_star], of w(m1) w(m2) w(m3): the same quantity as
     weight_convolution(w, N, 3), computed for a whole band at once. The
-    pair convolution comes from one real FFT and each N is then one
+    pair convolution comes from repcount.self_convolution and each N is one
     contraction against the third factor, summed by the fixed pairwise
     layout of np.sum over a contiguous product (never BLAS). Targets
     outside [3 m_lo, 3 m_hi] get exactly 0.0.
@@ -172,9 +172,7 @@ def singular_integral(w: WindowParams, lo: int, hi: int) -> np.ndarray:
     # rest of the grid is dropped before the FFT.
     top = min(m_hi, b - 2 * m_lo)
     v = wt[: top - m_lo + 1]
-    nfft = 1 << (2 * len(v) - 2).bit_length()
-    spec = np.fft.rfft(v, nfft)
-    pair = np.fft.irfft(spec * spec, nfft)  # pair[j]: sum over m1 + m2 = 2 m_lo + j
+    pair = self_convolution(v, 2 * len(v) - 1)  # pair[j]: sum over m1 + m2 = 2 m_lo + j
     for N in range(a, b + 1):
         s_lo = max(2 * m_lo, N - top)
         s_hi = min(2 * top, N - m_lo)

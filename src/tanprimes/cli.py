@@ -116,6 +116,13 @@ def _table(w: WindowParams, threads: int):
     return value_table(block.primes, w.c, w.theta), block.logs
 
 
+def _pair_table(a):
+    """_window and _table, refused before sieving if the pair map would be."""
+    w, _ = _window(a)
+    repcount.check_pair_span(repcount.pair_span_bound(w))
+    return (w, *_table(w, a.threads))
+
+
 def _cmd_window(a):
     w, residual = _window(a)
     extra = {} if residual is None else {"solve_residual": residual}
@@ -123,17 +130,15 @@ def _cmd_window(a):
 
 
 def _cmd_count(a):
-    w, _ = _window(a)
-    rep = repcount.count_ternary_mitm(*_table(w, a.threads), w.n_star + a.offset, w=w)
+    w, values, logs = _pair_table(a)
+    rep = repcount.count_ternary_mitm(values, logs, w.n_star + a.offset, w=w)
     return (lambda: {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
                      "method": rep.method, "window": dataclasses.asdict(w)},
             lambda fh: repcount.scan_to_csv([rep], fh))
 
 
 def _band_reports(a):
-    w, _ = _window(a)
-    repcount.check_pair_span(repcount.pair_span_bound(w))  # before any sieving
-    values, logs = _table(w, a.threads)
+    w, values, logs = _pair_table(a)
     lo, hi = a.band
     return w, repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
 
@@ -160,7 +165,7 @@ def _cmd_compare(a):
 def _cmd_binary(a):
     w, _ = _window(a)
     N = w.n_star + a.offset
-    pair = repcount.find_binary(*_table(w, a.threads), N)
+    pair = repcount.find_binary(_table(w, a.threads)[0], N)
     return lambda: {"N": N, "pair": list(pair) if pair is not None else None}, None
 
 
@@ -267,6 +272,15 @@ def _selftest() -> int:
     return 0 if passed == len(lines) else 1
 
 
+def _open_out(path: str):
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     # glue "--band -2:2" into "--band=-2:2"; argparse reads a bare leading
     # dash as an option even when the value is an offset pair
@@ -282,8 +296,7 @@ def main(argv=None) -> int:
         if a.command == "selftest":
             return _selftest()
         to_json, write_csv = a.run(a)
-        with (open(a.out_path, "w", encoding="utf-8", newline="") if a.out_path != "-"
-              else contextlib.nullcontext(sys.stdout)) as fh:
+        with _open_out(a.out_path) as fh:
             if write_csv is None or a.out_format == "json":
                 fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
             else:

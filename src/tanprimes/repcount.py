@@ -1,12 +1,12 @@
 """Ternary and binary representation counts of targets by window primes.
 
 The workhorse is meet-in-the-middle: tabulate the multiset of ordered
-pair sums f(p_i)+f(p_j) once (dense count and weight arrays), then each
-target N costs one pass over p_3. A literal triple loop serves as the
-independent oracle. Ordered triples are counted, diagonals included.
+pair sums f(p_i)+f(p_j) once (dense count and weight arrays from one FFT),
+then each target N costs one pass over p_3. A literal triple loop serves
+as the independent oracle. Ordered triples are counted, diagonals included.
 
-Weighted sums are accumulated with math.fsum (correctly rounded), so
-results are bit-identical across runs and thread counts.
+Weighted sums over p_3 are accumulated with math.fsum (correctly rounded),
+so results are bit-identical across runs and thread counts.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ _NAIVE_GUARD = 10 ** 4
 _CLASSICAL_GUARD = 10 ** 5
 _PAIR_SPAN_GUARD = 1 << 26   # dense pair arrays beyond this would eat memory
 _BAND_GUARD = 10 ** 6
-_BLOCK = 512                 # fixed pair-map block size, independent of threads
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,6 @@ class PairMap:
     @property
     def s_max(self) -> int:
         return self.s_min + len(self.counts) - 1
-
-    def lookup(self, s: int) -> tuple[int, float]:
-        if s < self.s_min or s > self.s_max:
-            return 0, 0.0
-        return int(self.counts[s - self.s_min]), float(self.weights[s - self.s_min])
 
 
 def _check_lengths(values: ValueTable, logs: np.ndarray) -> None:
@@ -82,6 +76,25 @@ def pair_span_bound(w: WindowParams) -> int:
     return 2 * (w.n_star - math.floor(w.n1)) + 1
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at least n."""
+    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
+
+
+def self_convolution(x: np.ndarray, n_out: int) -> np.ndarray:
+    """First n_out entries of the linear convolution x * x, by one rfft and irfft.
+
+    Only x[:n_out] is read; the 5-smooth transform length holds its whole
+    self-convolution, so nothing wraps around.
+    """
+    x = np.asarray(x[:n_out], dtype=np.float64)
+    nfft = _fft_length(max(n_out, 2 * len(x) - 1))
+    spec = np.fft.rfft(x, nfft)
+    spec *= spec
+    return np.fft.irfft(spec, nfft)[:n_out]
+
+
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
     n = len(f)
     if n == 0:
@@ -91,13 +104,14 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
     span = 2 * (fmax - fmin) + 1
     check_pair_span(span)
     rel = (f - fmin).astype(np.int64)
-    counts = np.zeros(span, dtype=np.int64)
-    weights = np.zeros(span, dtype=np.float64)
-    for i in range(0, n, _BLOCK):
-        sums = (rel[i:i + _BLOCK, None] + rel[None, :]).ravel()
-        wts = (logs[i:i + _BLOCK, None] * logs[None, :]).ravel()
-        counts += np.bincount(sums, minlength=span)
-        weights += np.bincount(sums, weights=wts, minlength=span)
+    # rint is exact: t' > 1 on every window (and (p^c)' > 1 in the classical
+    # variant), so f is strictly increasing, the multiplicity vector is 0/1 and
+    # |x|^2 = n <= width <= 2^25 under the 2^26 span guard. Percival's bound
+    # (Math. Comp. 72, 2003) on the error of the FFT square is then about
+    # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
+    counts = np.rint(self_convolution(np.bincount(rel), span)).astype(np.int64)
+    weights = self_convolution(np.bincount(rel, weights=logs), span)
+    weights[counts == 0] = 0.0
     return PairMap(2 * fmin, counts, weights, n)
 
 
@@ -109,12 +123,8 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
 def _mitm_one(f: np.ndarray, logs: np.ndarray, pm: PairMap, N: int) -> tuple[int, float]:
     s = N - f
     ok = (s >= pm.s_min) & (s <= pm.s_max)
-    if not ok.any():
-        return 0, 0.0
     idx = (s[ok] - pm.s_min).astype(np.int64)
-    r = int(pm.counts[idx].sum())
-    gamma = math.fsum(logs[ok] * pm.weights[idx])
-    return r, gamma
+    return int(pm.counts[idx].sum()), math.fsum(logs[ok] * pm.weights[idx])
 
 
 def count_ternary_mitm(
@@ -125,16 +135,7 @@ def count_ternary_mitm(
     w: Optional[WindowParams] = None,
 ) -> RepReport:
     """Weighted and unweighted ordered-triple counts for one target."""
-    _check_lengths(values, logs)
-    logs = np.asarray(logs, dtype=np.float64)
-    if len(values) == 0:
-        return RepReport(int(N), 0, 0.0, "mitm", w)
-    fmin, fmax = int(values.f.min()), int(values.f.max())
-    if N < 3 * fmin or N > 3 * fmax:
-        return RepReport(int(N), 0, 0.0, "mitm", w)
-    pm = pair_map if pair_map is not None else _pair_map_from_arrays(values.f, logs)
-    r, gamma = _mitm_one(values.f, logs, pm, int(N))
-    return RepReport(int(N), r, gamma, "mitm", w)
+    return scan_band(values, logs, N, N, pair_map, w)[0]
 
 
 def count_ternary_naive(
@@ -173,34 +174,24 @@ def scan_band(
     pair_map: Optional[PairMap] = None,
     w: Optional[WindowParams] = None,
 ) -> list[RepReport]:
-    """count_ternary_mitm for every N in [N_lo, N_hi], one pair-map build."""
+    """count_ternary_mitm for every N in [N_lo, N_hi], at most one pair-map build."""
     _check_lengths(values, logs)
+    N_lo, N_hi = int(N_lo), int(N_hi)
     if N_lo > N_hi:
         raise InvalidParameter(f"band bounds inverted: {N_lo} > {N_hi}")
     if N_hi - N_lo + 1 > _BAND_GUARD:
         raise BandTooWide(f"band width {N_hi - N_lo + 1} exceeds {_BAND_GUARD}")
+    f = values.f
+    if len(f) == 0 or N_hi < 3 * int(f.min()) or N_lo > 3 * int(f.max()):
+        return [RepReport(N, 0, 0.0, "mitm", w) for N in range(N_lo, N_hi + 1)]
     logs = np.asarray(logs, dtype=np.float64)
-    if len(values) == 0:
-        return [RepReport(int(N), 0, 0.0, "mitm", w) for N in range(N_lo, N_hi + 1)]
-    pm = pair_map if pair_map is not None else _pair_map_from_arrays(values.f, logs)
-    fmin, fmax = int(values.f.min()), int(values.f.max())
-    out = []
-    for N in range(int(N_lo), int(N_hi) + 1):
-        if N < 3 * fmin or N > 3 * fmax:
-            out.append(RepReport(N, 0, 0.0, "mitm", w))
-        else:
-            r, gamma = _mitm_one(values.f, logs, pm, N)
-            out.append(RepReport(N, r, gamma, "mitm", w))
-    return out
+    pm = pair_map if pair_map is not None else _pair_map_from_arrays(f, logs)
+    return [RepReport(N, *_mitm_one(f, logs, pm, N), "mitm", w)
+            for N in range(N_lo, N_hi + 1)]
 
 
-def find_binary(
-    values: ValueTable,
-    logs: np.ndarray,
-    N: int,
-) -> Optional[tuple[int, int]]:
+def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:
     """Lexicographically smallest ordered pair (p1, p2) with f(p1)+f(p2) = N."""
-    _check_lengths(values, logs)
     f = values.f
     n = len(f)
     if n == 0:
@@ -239,11 +230,8 @@ def count_classical(c: float, N: int) -> RepReport:
     keep = f <= N
     f = f[keep]
     logs = block.logs[keep]
-    if len(f) == 0:
-        return RepReport(int(N), 0, 0.0, "mitm", None)
     pm = _pair_map_from_arrays(f, logs)
-    r, gamma = _mitm_one(f, logs, pm, int(N))
-    return RepReport(int(N), r, gamma, "mitm", None)
+    return RepReport(int(N), *_mitm_one(f, logs, pm, int(N)), "mitm", None)
 
 
 def scan_to_csv(reports: list[RepReport], fh) -> None:

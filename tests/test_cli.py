@@ -197,6 +197,17 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(dest.read_text())["k"] == 2
 
 
+def test_out_missing_directory(capsys, tmp_path):
+    dest = tmp_path / "missing" / "w.json"
+    code, out, err = run(capsys, "window", "--k", "2", "--c", "1.05", "--theta", "2.0",
+                         "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert "Traceback" not in err
+    assert not dest.parent.exists()
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "window", "--k", "2", "--c", "0.5")
     assert code == 3

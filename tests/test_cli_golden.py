@@ -59,9 +59,11 @@ def test_cli_matches_golden(case, capsys, monkeypatch):
         _same_json(json.loads(out), json.loads(want))
 
 
-def test_pair_span_guard_before_sieving(capsys):
+@pytest.mark.parametrize("argv", [["scan", "--k", "6", "--band", "-1:1"], ["count", "--k", "6"]],
+                         ids=["scan", "count"])
+def test_pair_span_guard_before_sieving(capsys, argv):
     t0 = time.perf_counter()
-    code = main(["scan", "--k", "6", "--band", "-1:1"])
+    code = main(argv)
     dt = time.perf_counter() - t0
     _, err = capsys.readouterr()
     assert code == 4

@@ -26,7 +26,14 @@ from tanprimes.errors import (
     TooLarge,
     WindowMismatch,
 )
-from tanprimes.repcount import _classical_floor, build_pair_map, pair_span_bound, scan_to_csv
+from tanprimes import repcount
+from tanprimes.repcount import (
+    _classical_floor,
+    build_pair_map,
+    pair_span_bound,
+    scan_to_csv,
+    self_convolution,
+)
 
 
 def test_pair_map_total_mass(pairmap2, table2):
@@ -39,6 +46,45 @@ def test_pair_map_bounds(pairmap2, table2):
     assert pairmap2.s_max == 2 * int(table2.f.max())
 
 
+def test_self_convolution_matches_convolve():
+    rng = np.random.default_rng(5)
+    x = rng.random(37)
+    full = np.convolve(x, x)
+    for n_out in (1, 20, 37, 73, 90):
+        got = self_convolution(x, n_out)
+        want = np.concatenate([full, np.zeros(max(0, n_out - len(full)))])[:n_out]
+        assert len(got) == n_out
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * full.max())
+
+
+def test_pair_map_matches_bincount(table3, block3, pairmap3):
+    f, logs = table3.f, block3.logs
+    assert np.all(np.diff(f) > 0)  # distinct floors: the premise of the rint bound
+    rel = f - int(f.min())
+    want_c = np.bincount(np.add.outer(rel, rel).ravel())
+    want_w = np.bincount(np.add.outer(rel, rel).ravel(), weights=np.multiply.outer(logs, logs).ravel())
+    assert np.array_equal(pairmap3.counts, want_c)
+    hit = want_c > 0
+    np.testing.assert_allclose(pairmap3.weights[hit], want_w[hit], rtol=1e-12)
+    assert np.all(pairmap3.weights[~hit] == 0.0)
+    assert int(pairmap3.counts.sum()) == len(f) ** 2
+
+
+def test_percival_bound_at_span_guard():
+    # _pair_map_from_arrays rounds FFT counts with rint on the strength of
+    # this bound and quotes these figures; raising the span guard (k=5 needs
+    # 1.18e8) must revisit both.
+    guard = repcount._PAIR_SPAN_GUARD
+    norm2 = (guard + 1) // 2  # 0/1 multiplicities over at most this many f values
+    L = math.ceil(math.log2(repcount._fft_length(guard)))
+    assert (norm2, L) == (2 ** 25, 26)
+    e = 2.0 ** -53  # unit roundoff; the twiddle error is taken as e too
+    # (1+e)^3L (1+e sqrt5)^(3L+1) (1+e)^3L - 1, in logs since 1 + e rounds to 1
+    bound = norm2 * math.expm1(6 * L * math.log1p(e) + (3 * L + 1) * math.log1p(e * math.sqrt(5)))
+    assert bound == pytest.approx(1.24e-6, rel=0.01)
+    assert bound < 0.25
+
+
 def test_pair_map_spot_check(pairmap2, table2, block2):
     s = int(table2.f[0] + table2.f[7])
     cnt = 0
@@ -48,14 +94,10 @@ def test_pair_map_spot_check(pairmap2, table2, block2):
             if int(table2.f[i] + table2.f[j]) == s:
                 cnt += 1
                 terms.append(block2.logs[i] * block2.logs[j])
-    c, wgt = pairmap2.lookup(s)
+    c = pairmap2.counts[s - pairmap2.s_min]
+    wgt = pairmap2.weights[s - pairmap2.s_min]
     assert c == cnt
     assert wgt == pytest.approx(math.fsum(terms), rel=1e-12)
-
-
-def test_pair_map_lookup_outside(pairmap2):
-    assert pairmap2.lookup(pairmap2.s_min - 1) == (0, 0.0)
-    assert pairmap2.lookup(pairmap2.s_max + 1) == (0, 0.0)
 
 
 @given(st.integers(min_value=0, max_value=3968))
@@ -64,7 +106,7 @@ def test_pair_map_random_sums(pairmap2, table2, i):
     # treat i as an index into the full pair grid and query its sum
     a, b = divmod(i, 63)
     s = int(table2.f[a] + table2.f[b])
-    cnt, _ = pairmap2.lookup(s)
+    cnt = pairmap2.counts[s - pairmap2.s_min]
     brute = int(np.sum(np.add.outer(table2.f, table2.f) == s))
     assert cnt == brute
 
@@ -118,7 +160,11 @@ def test_ordered_multiplicity_structure(table2, block2, w2):
     assert total == count_ternary_mitm(table2, block2.logs, N, w=w2).count
 
 
-def test_zero_report_out_of_range(table2, block2):
+def test_zero_report_out_of_range(table2, block2, monkeypatch):
+    def refuse(f, logs):
+        raise AssertionError("pair map built for a target no triple reaches")
+
+    monkeypatch.setattr(repcount, "_pair_map_from_arrays", refuse)
     lo = 3 * int(table2.f.min())
     rep = count_ternary_mitm(table2, block2.logs, lo - 1)
     assert rep.count == 0 and rep.weighted == 0.0
@@ -163,7 +209,7 @@ def test_scan_csv_shape(table2, block2, tmp_path):
 
 
 def test_find_binary_frozen(table3, block3, w3):
-    pair = find_binary(table3, block3.logs, w3.n_star)
+    pair = find_binary(table3, w3.n_star)
     assert pair == (27893, 34877)
     fa = floor_value(27893, w3.c, w3.theta).f
     fb = floor_value(34877, w3.c, w3.theta).f
@@ -180,11 +226,11 @@ def test_find_binary_lexicographic(table2, block2, w2):
                 break
         if brute:
             break
-    assert find_binary(table2, block2.logs, N) == brute
+    assert find_binary(table2, N) == brute
 
 
 def test_find_binary_none(table2, block2):
-    assert find_binary(table2, block2.logs, 3) is None
+    assert find_binary(table2, 3) is None
 
 
 def test_window_mismatch(table2, block2):
