@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -272,7 +273,22 @@ def _selftest() -> int:
     return 0 if passed == len(lines) else 1
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out whose directory is missing or read-only before the run."""
+    if path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write --out {path!r}: {os.strerror(reason)}")
+
+
 def _open_out(path: str):
+    # opened only after a successful run, so a failed one leaves the file alone
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -295,6 +311,7 @@ def main(argv=None) -> int:
         a.threads = _resolve_threads(getattr(a, "threads", None))
         if a.command == "selftest":
             return _selftest()
+        _check_out(a.out_path)
         to_json, write_csv = a.run(a)
         with _open_out(a.out_path) as fh:
             if write_csv is None or a.out_format == "json":

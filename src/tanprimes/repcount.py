@@ -2,8 +2,10 @@
 
 The workhorse is meet-in-the-middle: tabulate the multiset of ordered
 pair sums f(p_i)+f(p_j) once (dense count and weight arrays from one FFT),
-then each target N costs one pass over p_3. A literal triple loop serves
-as the independent oracle. Ordered triples are counted, diagonals included.
+then meet each target N on one slice of p_3. Since every f(p_3) >= min f, a
+band ending at N_hi reads only pair sums up to N_hi - min f, and the table
+is built only that far. A literal triple loop serves as the independent
+oracle. Ordered triples are counted, diagonals included.
 
 Weighted sums over p_3 are accumulated with math.fsum (correctly rounded),
 so results are bit-identical across runs and thread counts.
@@ -95,7 +97,11 @@ def self_convolution(x: np.ndarray, n_out: int) -> np.ndarray:
     return np.fft.irfft(spec, nfft)[:n_out]
 
 
-def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
+def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
+    """Pair sums from 2 min f on: all of them, or only the first n_out.
+
+    The span guard always judges the full span, whatever n_out asks for.
+    """
     n = len(f)
     if n == 0:
         return PairMap(0, np.zeros(1, dtype=np.int64), np.zeros(1), 0)
@@ -103,14 +109,15 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray) -> PairMap:
     fmax = int(f.max())
     span = 2 * (fmax - fmin) + 1
     check_pair_span(span)
+    n_out = span if n_out is None else min(span, n_out)
     rel = (f - fmin).astype(np.int64)
     # rint is exact: t' > 1 on every window (and (p^c)' > 1 in the classical
     # variant), so f is strictly increasing, the multiplicity vector is 0/1 and
     # |x|^2 = n <= width <= 2^25 under the 2^26 span guard. Percival's bound
     # (Math. Comp. 72, 2003) on the error of the FFT square is then about
     # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
-    counts = np.rint(self_convolution(np.bincount(rel), span)).astype(np.int64)
-    weights = self_convolution(np.bincount(rel, weights=logs), span)
+    counts = np.rint(self_convolution(np.bincount(rel), n_out)).astype(np.int64)
+    weights = self_convolution(np.bincount(rel, weights=logs), n_out)
     weights[counts == 0] = 0.0
     return PairMap(2 * fmin, counts, weights, n)
 
@@ -120,11 +127,35 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
     return _pair_map_from_arrays(values.f, np.asarray(logs, dtype=np.float64))
 
 
-def _mitm_one(f: np.ndarray, logs: np.ndarray, pm: PairMap, N: int) -> tuple[int, float]:
-    s = N - f
-    ok = (s >= pm.s_min) & (s <= pm.s_max)
-    idx = (s[ok] - pm.s_min).astype(np.int64)
-    return int(pm.counts[idx].sum()), math.fsum(logs[ok] * pm.weights[idx])
+def _meet(
+    f: np.ndarray,
+    logs: np.ndarray,
+    N_lo: int,
+    N_hi: int,
+    pm: Optional[PairMap],
+    w: Optional[WindowParams],
+) -> list[RepReport]:
+    """Meet every N in [N_lo, N_hi] with the pair table, one slice of p_3 each.
+
+    Without pm the table stops at the largest pair sum the band reads,
+    N_hi - min f, and none is built when no triple reaches the band. Sorting
+    by f makes the p_3 with N - f in the table a slice.
+    """
+    if len(f) == 0 or N_hi < 3 * int(f.min()) or N_lo > 3 * int(f.max()):
+        return [RepReport(N, 0, 0.0, "mitm", w) for N in range(N_lo, N_hi + 1)]
+    order = np.argsort(f, kind="stable")
+    f, logs = f[order], logs[order]
+    if pm is None:
+        pm = _pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+    Ns = np.arange(N_lo, N_hi + 1, dtype=np.int64)
+    starts = np.searchsorted(f, Ns - pm.s_max, side="left").tolist()
+    stops = np.searchsorted(f, Ns - pm.s_min, side="right").tolist()
+    reports = []
+    for N, a, b in zip(range(N_lo, N_hi + 1), starts, stops):
+        idx = N - pm.s_min - f[a:b]
+        reports.append(RepReport(N, int(pm.counts[idx].sum()),
+                                 math.fsum((logs[a:b] * pm.weights[idx]).tolist()), "mitm", w))
+    return reports
 
 
 def count_ternary_mitm(
@@ -174,20 +205,18 @@ def scan_band(
     pair_map: Optional[PairMap] = None,
     w: Optional[WindowParams] = None,
 ) -> list[RepReport]:
-    """count_ternary_mitm for every N in [N_lo, N_hi], at most one pair-map build."""
+    """count_ternary_mitm for every N in [N_lo, N_hi].
+
+    Without pair_map, builds one pair table holding only the sums up to
+    N_hi - min f, and none when no triple reaches the band.
+    """
     _check_lengths(values, logs)
     N_lo, N_hi = int(N_lo), int(N_hi)
     if N_lo > N_hi:
         raise InvalidParameter(f"band bounds inverted: {N_lo} > {N_hi}")
     if N_hi - N_lo + 1 > _BAND_GUARD:
         raise BandTooWide(f"band width {N_hi - N_lo + 1} exceeds {_BAND_GUARD}")
-    f = values.f
-    if len(f) == 0 or N_hi < 3 * int(f.min()) or N_lo > 3 * int(f.max()):
-        return [RepReport(N, 0, 0.0, "mitm", w) for N in range(N_lo, N_hi + 1)]
-    logs = np.asarray(logs, dtype=np.float64)
-    pm = pair_map if pair_map is not None else _pair_map_from_arrays(f, logs)
-    return [RepReport(N, *_mitm_one(f, logs, pm, N), "mitm", w)
-            for N in range(N_lo, N_hi + 1)]
+    return _meet(values.f, np.asarray(logs, dtype=np.float64), N_lo, N_hi, pair_map, w)
 
 
 def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:
@@ -230,8 +259,7 @@ def count_classical(c: float, N: int) -> RepReport:
     keep = f <= N
     f = f[keep]
     logs = block.logs[keep]
-    pm = _pair_map_from_arrays(f, logs)
-    return RepReport(int(N), *_mitm_one(f, logs, pm, int(N)), "mitm", None)
+    return _meet(f, logs, int(N), int(N), None, None)[0]
 
 
 def scan_to_csv(reports: list[RepReport], fh) -> None:

@@ -208,6 +208,29 @@ def test_out_missing_directory(capsys, tmp_path):
     assert not dest.parent.exists()
 
 
+def test_out_checked_before_run(capsys, tmp_path, monkeypatch):
+    from tanprimes import cli
+
+    def refuse(a):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "_pair_table", refuse)
+    dest = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "compare", "--k", "4", "--band", "-100:100", "--out", str(dest))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write --out ")
+    assert not dest.parent.exists()
+
+
+def test_failed_run_keeps_out_file(capsys, tmp_path):
+    dest = tmp_path / "w.json"
+    dest.write_text("kept\n")
+    code, _, _ = run(capsys, "window", "--k", "2", "--c", "0.5", "--out", str(dest))
+    assert code == 3
+    assert dest.read_text() == "kept\n"
+
+
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "window", "--k", "2", "--c", "0.5")
     assert code == 3

@@ -161,7 +161,7 @@ def test_ordered_multiplicity_structure(table2, block2, w2):
 
 
 def test_zero_report_out_of_range(table2, block2, monkeypatch):
-    def refuse(f, logs):
+    def refuse(*args):
         raise AssertionError("pair map built for a target no triple reaches")
 
     monkeypatch.setattr(repcount, "_pair_map_from_arrays", refuse)
@@ -178,6 +178,55 @@ def test_scan_matches_pointwise(table2, block2, pairmap2, w2):
         rep = count_ternary_mitm(table2, block2.logs, row.target, pair_map=pairmap2, w=w2)
         assert row.count == rep.count
         assert row.weighted == rep.weighted
+
+
+def _bands(table, w):
+    # the edges of the band-limited table: one entry, interior, clamped to the span
+    lo, hi = 3 * int(table.f.min()), 3 * int(table.f.max())
+    return {"one-entry": (lo, lo), "interior": (w.n_star - 20, w.n_star + 20),
+            "full-span": (hi - 20, hi + 5)}
+
+
+@pytest.mark.parametrize("band", ["one-entry", "interior", "full-span"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_band_limited_table_matches_full_map(request, monkeypatch, k, band):
+    table = request.getfixturevalue(f"table{k}")
+    logs = request.getfixturevalue(f"block{k}").logs
+    full = request.getfixturevalue(f"pairmap{k}")
+    N_lo, N_hi = _bands(table, request.getfixturevalue(f"w{k}"))[band]
+    seen = []
+
+    def recording(x, n_out):
+        seen.append(n_out)
+        return self_convolution(x, n_out)
+
+    monkeypatch.setattr(repcount, "self_convolution", recording)
+    limited = scan_band(table, logs, N_lo, N_hi)
+    want_n_out = min(len(full.counts), N_hi - 3 * int(table.f.min()) + 1)
+    assert seen == [want_n_out, want_n_out]  # counts, then weights
+    assert want_n_out == {"one-entry": 1, "interior": N_hi - 3 * int(table.f.min()) + 1,
+                          "full-span": len(full.counts)}[band]
+    assert band == "full-span" or want_n_out < len(full.counts)
+    reference = scan_band(table, logs, N_lo, N_hi, pair_map=full)
+    assert [r.count for r in limited] == [r.count for r in reference]
+    assert any(r.count for r in reference)
+    for a, b in zip(limited, reference):
+        assert a.weighted == pytest.approx(b.weighted, rel=1e-12, abs=0.0)
+
+
+def test_scan_unordered_table(table2, block2, w2):
+    # value_table over several windows is not ascending; the meet sorts it
+    perm = np.random.default_rng(3).permutation(len(table2))
+    shuffled = type(table2)(n=table2.n[perm], f=table2.f[perm],
+                            frac=table2.frac[perm], certified=table2.certified[perm])
+    logs = block2.logs[perm]
+    assert np.any(np.diff(shuffled.f) < 0)
+    N_lo, N_hi = w2.n_star - 4, w2.n_star + 4
+    scan = scan_band(shuffled, logs, N_lo, N_hi, w=w2)
+    for row in scan:
+        ref = count_ternary_naive(table2, block2.logs, row.target)
+        assert row.count == ref.count
+        assert row.weighted == pytest.approx(ref.weighted, rel=1e-9)
 
 
 def test_scan_concatenation(table2, block2, pairmap2):
