@@ -1,8 +1,8 @@
 """Command-line front end; emits CSV or JSON, deterministic for a fixed config.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage, 3 domain error,
-4 resource guard. Thread count comes from --threads or TANPRIMES_THREADS
-and never changes numeric output, only wall time.
+4 resource guard. A thread count from --threads or TANPRIMES_THREADS is
+validated and has no effect: every path runs in one thread.
 
 Each subcommand runs on the argparse namespace and returns two callables,
 one building its JSON object and one writing its CSV text (None where only
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--k", type=int, help="window index")
             g.add_argument("--N", type=int, help="target that must solve the window equation")
             sp.add_argument("--threads", type=int, default=None,
-                            help="worker threads (TANPRIMES_THREADS overrides; wall time only)")
+                            help="thread count, validated, no effect (TANPRIMES_THREADS overrides)")
             output(sp, help="output path, - for stdout")
         return sp
 

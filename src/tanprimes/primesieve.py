@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,8 @@ def sieve_segment(a: float, b: float, threads: int = 1) -> PrimeBlock:
     """Exactly the primes in (a, b], resolved as integers (floor(a), floor(b)].
 
     Real bounds are accepted because window endpoints are irrational.
-    Segments are sieved independently (optionally in a thread pool) and
-    merged in ascending order, so output is deterministic.
+    Segments are sieved in ascending order. threads is accepted and has no
+    effect: the sieve is a small share of any run.
     """
     if not (a < b):
         raise InvalidRange(f"need a < b, got a={a}, b={b}")
@@ -68,12 +67,6 @@ def sieve_segment(a: float, b: float, threads: int = 1) -> PrimeBlock:
     if hi < first:
         return PrimeBlock(lo, hi, np.empty(0, dtype=np.int64), np.empty(0))
     base = _base_primes(math.isqrt(hi))
-    bounds = list(range(first, hi + 1, _SEGMENT))
-    jobs = [(s, min(s + _SEGMENT, hi + 1)) for s in bounds]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: _sieve_one(j[0], j[1], base), jobs))
-    else:
-        parts = [_sieve_one(s, e, base) for s, e in jobs]
+    parts = [_sieve_one(s, min(s + _SEGMENT, hi + 1), base) for s in range(first, hi + 1, _SEGMENT)]
     primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return PrimeBlock(lo, hi, primes, np.log(primes.astype(np.float64)))

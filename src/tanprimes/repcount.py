@@ -7,8 +7,11 @@ band ending at N_hi reads only pair sums up to N_hi - min f, and the table
 is built only that far. A literal triple loop serves as the independent
 oracle. Ordered triples are counted, diagonals included.
 
-Weighted sums over p_3 are accumulated with math.fsum (correctly rounded),
-so results are bit-identical across runs and thread counts.
+The weighted sum over p_3 of each target is exact until one final rounding:
+every product is cut without error into integer slices of at most 26 bits,
+each slice is summed exactly in float64 (a target has at most 2^25 terms),
+and the slices join as Python ints. The result is the correctly rounded
+sum, the same bits as math.fsum, whatever the order or the chunking.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ _NAIVE_GUARD = 10 ** 4
 _CLASSICAL_GUARD = 10 ** 5
 _PAIR_SPAN_GUARD = 1 << 26   # dense pair arrays beyond this would eat memory
 _BAND_GUARD = 10 ** 6
+_MEET_CHUNK = 1 << 14      # products the band meet gathers at once (whole targets)
+_SLICE_BITS = 26           # width of the exact-sum slices; see _exact_sums
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,43 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
     return _pair_map_from_arrays(values.f, np.asarray(logs, dtype=np.float64))
 
 
+def _exact_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment x[offsets[i]:offsets[i+1]], bit for bit.
+
+    x holds finite values >= 0 below 2^970; offsets rise strictly, and the
+    last segment runs to the end of x.
+    """
+    top = float(x.max())
+    if top == 0.0:
+        return np.zeros(len(offsets))
+    # Every x is cut without error into slices on the units lo, lo + 26,
+    # ..., the highest just below top's exponent; lo is the smallest nonzero
+    # ulp, so x and every rest are multiples of 2^lo. With C = 1.5*2^(u+52)
+    # the ulp of rest + C is 2^u, so (rest + C) - C is rest rounded to a
+    # multiple of 2^u, and it and rest - part are exact (Sterbenz). A part
+    # is at most 2^26 units of 2^u in the top slice (x < 2^(u+26)) and 2^25
+    # below it (|rest| is at most half the unit above); the last slice is
+    # the rest itself. A target meets at most n <= 2^25 terms (distinct
+    # floors under the 2^26 span guard, as for the rint counts), so every
+    # partial sum of a slice is an integer below 2^51 units and
+    # np.add.reduceat adds them exactly, in any order. The slices join
+    # exactly as Python ints, and int / int rounds once, half to even, as
+    # math.fsum does, subnormal results included.
+    lo = max(math.frexp(float(np.min(x, where=x > 0, initial=top)))[1] - 53, -1074)
+    units = range(lo + (math.frexp(top)[1] - lo - 1) // _SLICE_BITS * _SLICE_BITS, lo - 1, -_SLICE_BITS)
+    limbs = np.empty((len(offsets), len(units)), dtype=np.int64)
+    rest = x.copy()
+    part = np.empty_like(x)
+    for j, u in enumerate(units[:-1]):
+        np.add(rest, math.ldexp(1.5, u + 52), out=part)
+        part -= math.ldexp(1.5, u + 52)
+        rest -= part
+        limbs[:, j] = np.ldexp(np.add.reduceat(part, offsets), -u)
+    limbs[:, -1] = np.ldexp(np.add.reduceat(rest, offsets), -lo)
+    totals = limbs.astype(object).dot(np.array([1 << (u - lo) for u in units], dtype=object))
+    return (totals * (1 << max(lo, 0)) / (1 << max(-lo, 0))).astype(np.float64)
+
+
 def _meet(
     f: np.ndarray,
     logs: np.ndarray,
@@ -139,23 +181,35 @@ def _meet(
 
     Without pm the table stops at the largest pair sum the band reads,
     N_hi - min f, and none is built when no triple reaches the band. Sorting
-    by f makes the p_3 with N - f in the table a slice.
+    by f makes the p_3 with N - f in the table a slice. The slices are
+    gathered for whole targets at a time, about _MEET_CHUNK products, and
+    each target's products are summed exactly by _exact_sums.
     """
-    if len(f) == 0 or N_hi < 3 * int(f.min()) or N_lo > 3 * int(f.max()):
-        return [RepReport(N, 0, 0.0, "mitm", w) for N in range(N_lo, N_hi + 1)]
-    order = np.argsort(f, kind="stable")
-    f, logs = f[order], logs[order]
-    if pm is None:
-        pm = _pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
     Ns = np.arange(N_lo, N_hi + 1, dtype=np.int64)
-    starts = np.searchsorted(f, Ns - pm.s_max, side="left").tolist()
-    stops = np.searchsorted(f, Ns - pm.s_min, side="right").tolist()
-    reports = []
-    for N, a, b in zip(range(N_lo, N_hi + 1), starts, stops):
-        idx = N - pm.s_min - f[a:b]
-        reports.append(RepReport(N, int(pm.counts[idx].sum()),
-                                 math.fsum((logs[a:b] * pm.weights[idx]).tolist()), "mitm", w))
-    return reports
+    counts = np.zeros(len(Ns), dtype=np.int64)
+    weighted = np.zeros(len(Ns))
+    if len(f) and N_hi >= 3 * int(f.min()) and N_lo <= 3 * int(f.max()):
+        order = np.argsort(f, kind="stable")
+        f, logs = f[order], logs[order]
+        if pm is None:
+            pm = _pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+        starts = np.searchsorted(f, Ns - pm.s_max, side="left")
+        lens = np.searchsorted(f, Ns - pm.s_min, side="right") - starts
+        ends = np.cumsum(lens)
+        t = 0
+        while t < len(Ns):
+            e = max(t + 1, int(np.searchsorted(ends, ends[t] - lens[t] + _MEET_CHUNK, side="right")))
+            ln = lens[t:e]
+            off = np.cumsum(ln) - ln
+            hit = ln > 0  # reduceat gives an empty segment the next element, not 0
+            if hit.any():
+                i = np.repeat(starts[t:e] - off, ln) + np.arange(int(ln.sum()))  # p_3 of each product
+                idx = np.repeat(Ns[t:e] - pm.s_min, ln) - f[i]
+                counts[t:e][hit] = np.add.reduceat(pm.counts[idx], off[hit])
+                weighted[t:e][hit] = _exact_sums(logs[i] * pm.weights[idx], off[hit])
+            t = e
+    return [RepReport(N, c, x, "mitm", w)
+            for N, c, x in zip(range(N_lo, N_hi + 1), counts.tolist(), weighted.tolist())]
 
 
 def count_ternary_mitm(

@@ -239,6 +239,109 @@ def test_scan_concatenation(table2, block2, pairmap2):
     assert [r.weighted for r in whole] == [r.weighted for r in glued]
 
 
+def _slice_products(f, logs, pm, N):
+    # the loop meet the band meet replaced: the products of one target's slice
+    a = int(np.searchsorted(f, N - pm.s_max, side="left"))
+    b = int(np.searchsorted(f, N - pm.s_min, side="right"))
+    return (logs[a:b] * pm.weights[N - pm.s_min - f[a:b]]).tolist()
+
+
+@pytest.mark.parametrize("table_kind", ["band-limited", "pairmap3"])
+def test_meet_bits_equal_fsum(request, table3, block3, w3, table_kind):
+    f, logs = table3.f, block3.logs
+    N_lo, N_hi = w3.n_star - 300, w3.n_star + 300
+    supplied = request.getfixturevalue("pairmap3") if table_kind == "pairmap3" else None
+    pm = supplied if supplied is not None else repcount._pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+    scan = scan_band(table3, logs, N_lo, N_hi, pair_map=supplied)
+    products = 0
+    for rep in scan:
+        terms = _slice_products(f, logs, pm, rep.target)
+        products += len(terms)
+        assert rep.weighted.hex() == math.fsum(terms).hex(), rep.target
+    assert products > 2 * repcount._MEET_CHUNK  # the band spans several chunks
+
+
+def test_exact_sums_where_plain_sums_fail():
+    segments = [
+        [2.0 ** 53, 1.0, 1.0],                             # np.sum drops both ones
+        [2.0 ** 53, 1.0],                                  # tie: half to even, down
+        [2.0 ** 53 + 2, 1.0],                              # tie: half to even, up
+        [1e30, 1.0, 1e-30, 2.0 ** -1000, 5e-324, 3.0],     # wide exponent spread
+        [5e-324, 5e-324, 2.0 ** -1060],                    # subnormal sum
+        [0.0, 0.0],
+        [0.1] * 10,
+    ]
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 5, 40, 700):
+        segments.append((rng.random(size) * 2.0 ** rng.integers(-80, 80, size)).tolist())
+    x = np.array([v for seg in segments for v in seg])
+    offsets = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    got = repcount._exact_sums(x, offsets)
+    assert np.sum(segments[0]) != math.fsum(segments[0])
+    for g, seg in zip(got.tolist(), segments):
+        assert g.hex() == math.fsum(seg).hex(), seg[:3]
+
+
+def test_exact_sums_near_ties_with_many_terms():
+    # 2^20 terms in [0.5, 1) sharing their top 30 bits, so that the rests of
+    # a slice all have one sign and add up to about n * 2^(width - 2) units
+    # of 2^-53: past 2^53, and no longer exact, for a slice 35 bits wide.
+    # The last term puts the exact sum one unit above, or below, a tie of
+    # the result, so any error of a unit changes the rounded sum.
+    n = 1 << 20
+    rng = np.random.default_rng(23)
+    m = (0x2A5D3B17 << 23) + rng.integers(0, 1 << 23, n - 1)   # x * 2^53, below 2^53
+    head = int(np.sum(m >> 26)) << 26
+    exact = head + int(np.sum(m & ((1 << 26) - 1)))
+    half = 1 << 19     # half an ulp of a sum in [2^19, 2^20), in units of 2^-53
+    for side in (1, -1):
+        last = (1 << 52) + (half + side - exact - (1 << 52)) % (2 * half)
+        terms = np.append(m, last) * 2.0 ** -53
+        got = repcount._exact_sums(terms, np.array([0]))[0]
+        assert got.hex() == math.fsum(terms.tolist()).hex()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_meet_chunks_with_empty_slices(table3, block3, pairmap3, w3, monkeypatch, chunk):
+    # four pair sums of the table: most targets meet an empty slice of p_3
+    monkeypatch.setattr(repcount, "_MEET_CHUNK", chunk)
+    a = len(pairmap3.counts) // 2
+    pm = repcount.PairMap(pairmap3.s_min + a, pairmap3.counts[a:a + 4],
+                          pairmap3.weights[a:a + 4], pairmap3.n_primes)
+    N_lo = pm.s_min + int(table3.f[len(table3) // 2])
+    scan = scan_band(table3, block3.logs, N_lo, N_lo + 400, pair_map=pm)
+    lens = [len(_slice_products(table3.f, block3.logs, pm, r.target)) for r in scan]
+    assert 0 in lens[1:-1] and max(lens) > 0
+    for rep, n in zip(scan, lens):
+        one = count_ternary_mitm(table3, block3.logs, rep.target, pair_map=pm)
+        assert (rep.count, rep.weighted.hex()) == (one.count, one.weighted.hex())
+        terms = _slice_products(table3.f, block3.logs, pm, rep.target)
+        assert rep.weighted.hex() == math.fsum(terms).hex()
+        if n == 0:
+            assert rep.count == 0 and rep.weighted.hex() == "0x0.0p+0"
+
+
+@pytest.fixture(scope="module")
+def band_table4():
+    w = quiet_window(4, 1.02, 1.5)
+    block = sieve_segment(w.delta1, w.delta2)
+    f = value_table(block.primes, w.c, w.theta).f
+    # the table the CLI's compare --k 4 --band -100:100 builds
+    return f, block.logs, repcount._pair_map_from_arrays(f, block.logs, w.n_star + 100 - 3 * int(f[0]) + 1)
+
+
+def test_band_table_spot_check_k4(band_table4):
+    # pairs at one sum from a binary search, sharing nothing with the FFT
+    f, logs, pm = band_table4
+    assert pm.s_max < 2 * int(f[-1])  # band-limited, not the full span
+    for s in np.random.default_rng(29).integers(pm.s_min, pm.s_max + 1, 300).tolist():
+        j = np.minimum(np.searchsorted(f, s - f), len(f) - 1)
+        hit = f[j] == s - f
+        assert pm.counts[s - pm.s_min] == int(hit.sum())
+        want = math.fsum((logs[hit] * logs[j[hit]]).tolist())
+        assert pm.weights[s - pm.s_min] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_scan_rejections(table2, block2):
     with pytest.raises(InvalidParameter):
         scan_band(table2, block2.logs, 9400, 9300)
