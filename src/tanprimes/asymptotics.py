@@ -27,6 +27,8 @@ from .repcount import RepReport, self_convolution
 from .window import WindowParams, weight
 
 _GRID_GUARD = 10 ** 7
+# Windows whose k = 3 pair sums are kept; 16 bytes per grid point each.
+_PAIR_SUM_CACHE = 4
 
 # Standard Lanczos coefficients, g = 7, 9 terms. Relative error below
 # 1e-13 on the arguments used here (all in (0.5, 4]).
@@ -97,14 +99,30 @@ def grid_weights(w: WindowParams) -> tuple[np.ndarray, np.ndarray]:
     return m, wt
 
 
+@functools.lru_cache(maxsize=_PAIR_SUM_CACHE)
+def _pair_sums(w: WindowParams) -> np.ndarray:
+    # Entry s - 2 m_lo: sum over m1 + m2 = s of w(m1) w(m2), for s in
+    # [2 m_lo, 2 m_hi]. NaN until weight_convolution fills it in; read-only
+    # outside that fill.
+    m, _ = grid_weights(w)
+    P = np.full(2 * len(m) - 1, np.nan)
+    P.flags.writeable = False
+    return P
+
+
 def weight_convolution(w: WindowParams, N: int, k: int) -> float:
     """Exact k-fold convolution of the smooth weights at target N.
 
     Sum over m_1 + ... + m_k = N with every m_i in the integer grid
     (n1, n_star] of the product of weights. k = 1 reduces to weight(N)
     (identical call, so the value is bit-exact), k = 2 uses a correctly
-    rounded sum and is exactly symmetric under grid reversal. k = 3 costs
-    O(grid^2) multiplies; fine at desk scale, slow near the guard.
+    rounded sum and is exactly symmetric under grid reversal. k = 3
+    contracts the pair sums P(s) = sum of w(m1) w(m2) over m1 + m2 = s
+    against the third factor with a correctly rounded sum. Each P(s) costs
+    O(grid) multiplies and is kept per window, so the O(grid^2) work is
+    paid once per window and each further target costs O(grid); a target
+    computes only the P(s) it reads that no earlier target did. Cached
+    and cold calls give the same bits.
     """
     if k not in (1, 2, 3):
         raise InvalidParameter(f"k must be 1, 2 or 3, got {k}")
@@ -132,16 +150,22 @@ def weight_convolution(w: WindowParams, N: int, k: int) -> float:
     s_hi = min(2 * m_hi, N - m_lo)
     if s_lo > s_hi:
         return 0.0
-    terms = []
-    for s in range(s_lo, s_hi + 1):
-        a = max(m_lo, s - m_hi)
-        b = min(m_hi, s - m_lo)
-        if a > b:
-            continue
-        left = wt[a - m_lo: b - m_lo + 1]
-        right = wt[s - b - m_lo: s - a - m_lo + 1][::-1]
-        terms.append(float(np.sum(left * right)) * wt[N - s - m_lo])
-    return math.fsum(terms)
+    P = _pair_sums(w)
+    missing = np.flatnonzero(np.isnan(P[s_lo - 2 * m_lo: s_hi - 2 * m_lo + 1])) + s_lo
+    if len(missing):
+        P.flags.writeable = True
+        try:
+            for s in missing.tolist():
+                a = max(m_lo, s - m_hi)
+                b = min(m_hi, s - m_lo)
+                left = wt[a - m_lo: b - m_lo + 1]
+                right = wt[s - b - m_lo: s - a - m_lo + 1][::-1]
+                P[s - 2 * m_lo] = float(np.sum(left * right))
+        finally:
+            P.flags.writeable = False
+    pairs = P[s_lo - 2 * m_lo: s_hi - 2 * m_lo + 1]
+    third = wt[N - s_hi - m_lo: N - s_lo - m_lo + 1][::-1]
+    return math.fsum(pairs * third)
 
 
 def singular_integral(w: WindowParams, lo: int, hi: int) -> np.ndarray:

@@ -36,6 +36,7 @@ _MP_PREC = 120       # construction precision in bits, rounded to float at the e
 # invert_map accepts targets slightly above t(delta2): n_star is the nearest
 # integer to t(delta2) and may round upward by as much as 1/2.
 _UPPER_SLACK = 0.5
+_NEWTON_CHUNK = 2 ** 14  # targets per Newton solve in invert_map
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,6 @@ def _t_raw(y, c: float, theta: float):
     return y ** c * np.tan(ly) ** theta
 
 
-def _t_deriv_raw(y, c: float, theta: float):
-    # dt/dy = y^(c-1) tan^(theta-1)(log y) (c tan(log y) + theta sec^2(log y))
-    ly = np.log(y)
-    tn = np.tan(ly)
-    sec2 = 1.0 + tn * tn
-    return y ** (c - 1.0) * tn ** (theta - 1.0) * (c * tn + theta * sec2)
-
-
 def forward_map(y, w: WindowParams):
     """t(y) = y^c tan^theta(log y) for y inside [delta1, delta2]."""
     arr = np.asarray(y, dtype=np.float64)
@@ -193,12 +186,55 @@ def image_interval(w: WindowParams) -> tuple[float, float]:
     return t1, t2
 
 
+def _newton(ta, w: WindowParams, t1: float, t2: float):
+    # Bracketed Newton for one chunk of targets, iterating only on the
+    # points still moving: a point leaves the active arrays (its y written
+    # back) once its residual is within tol or a step no longer changes it.
+    # Each point follows its own trajectory, so neither the chunking nor the
+    # dropping of other points changes its bits.
+    c, theta = w.c, w.theta
+    lo = np.full_like(ta, w.delta1 * (1.0 - 1e-12))
+    hi = np.full_like(ta, w.delta2 + 1.0)
+    ya = np.clip(w.delta1 + (ta - t1) * ((w.delta2 - w.delta1) / (t2 - t1)), lo, hi)
+    tol = 8.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(ta))
+    t_all = ta
+    y = np.empty_like(ta)
+    idx = np.arange(len(ta))
+    for _ in range(200):
+        if not len(idx):
+            break
+        tn = np.tan(np.log(ya))
+        r = ya ** c * tn ** theta - ta  # _t_raw(ya) - ta
+        moving = np.abs(r) > tol
+        if not moving.all():
+            y[idx[~moving]] = ya[~moving]
+            idx, ya, ta, tol, lo, hi, r, tn = (
+                v[moving] for v in (idx, ya, ta, tol, lo, hi, r, tn))
+        lo = np.where(r < 0.0, np.maximum(lo, ya), lo)
+        hi = np.where(r > 0.0, np.minimum(hi, ya), hi)
+        # dt/dy = y^(c-1) tan^(theta-1)(log y) (c tan(log y) + theta sec^2(log y))
+        deriv = ya ** (c - 1.0) * tn ** (theta - 1.0) * (c * tn + theta * (1.0 + tn * tn))
+        y_new = ya - r / deriv
+        fallback = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
+        y_new = np.where(fallback, 0.5 * (lo + hi), y_new)
+        moving = y_new != ya  # else no further progress at this precision
+        y[idx[~moving]] = ya[~moving]
+        idx, ya, ta, tol, lo, hi = (v[moving] for v in (idx, y_new, ta, tol, lo, hi))
+    y[idx] = ya
+
+    resid = np.abs(_t_raw(y, c, theta) - t_all)
+    if np.any(resid > 1e-9 * np.maximum(1.0, np.abs(t_all))):
+        raise NoConvergence("Newton inversion stalled; this should be unreachable")
+    return y
+
+
 def invert_map(t, w: WindowParams):
     """Inverse of the forward map: the y with t(y) = t.
 
     Bracketed Newton iteration with bisection fallback; converges to
     machine precision, guaranteed within 1e-9 relative residual. Accepts
-    t up to t(delta2) + 1/2 because n_star may round upward.
+    t up to t(delta2) + 1/2 because n_star may round upward. Targets are
+    solved in chunks of _NEWTON_CHUNK, so the working arrays stay small.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     t1, t2 = image_interval(w)
@@ -207,33 +243,10 @@ def invert_map(t, w: WindowParams):
         raise OutOfRange(
             f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
         )
-
-    lo = np.full_like(t_arr, w.delta1 * (1.0 - 1e-12))
-    hi = np.full_like(t_arr, w.delta2 + 1.0)
-    y = w.delta1 + (t_arr - t1) * ((w.delta2 - w.delta1) / (t2 - t1))
-    y = np.clip(y, lo, hi)
-    done = np.zeros(t_arr.shape, dtype=bool)
-    tol = 8.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(t_arr))
-
-    for _ in range(200):
-        r = _t_raw(y, w.c, w.theta) - t_arr
-        done |= np.abs(r) <= tol
-        if done.all():
-            break
-        below = (r < 0.0) & ~done
-        above = (r > 0.0) & ~done
-        lo = np.where(below, np.maximum(lo, y), lo)
-        hi = np.where(above, np.minimum(hi, y), hi)
-        step = r / _t_deriv_raw(y, w.c, w.theta)
-        y_new = y - step
-        fallback = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
-        y_new = np.where(fallback, 0.5 * (lo + hi), y_new)
-        done |= (y_new == y)  # no further progress possible at this precision
-        y = np.where(done, y, y_new)
-
-    resid = np.abs(_t_raw(y, w.c, w.theta) - t_arr)
-    if np.any(resid > 1e-9 * np.maximum(1.0, np.abs(t_arr))):
-        raise NoConvergence("Newton inversion stalled; this should be unreachable")
+    y = np.empty_like(t_arr)
+    for start in range(0, len(t_arr), _NEWTON_CHUNK):
+        chunk = slice(start, start + _NEWTON_CHUNK)
+        y[chunk] = _newton(t_arr[chunk], w, t1, t2)
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(y[0])
     return y

@@ -1,6 +1,7 @@
 """Main terms, the gamma helper, and exact weight convolutions."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import quiet_window
 from tanprimes import (
+    asymptotics,
     classical_main_term,
     main_term,
     singular_integral,
@@ -143,6 +145,38 @@ def test_convolution_rejects_bad_k(w2):
 def test_convolution_zero_when_unreachable(w2):
     assert weight_convolution(w2, 2, 2) == 0.0
     assert weight_convolution(w2, 3 * w2.n_star + 1, 3) == 0.0
+
+
+def _conv3_cold(w, N):
+    asymptotics._pair_sums.cache_clear()
+    return weight_convolution(w, N, 3)
+
+
+def test_convolution_k3_cached_bits_equal_cold(w2):
+    # the crosscheck job's 24 seed-1 targets: warm pair sums give the bits of
+    # a call with the cache cleared first
+    targets = [w2.n_star + off for off in sorted(random.Random(1).sample(range(-100, 1), 24))]
+    cold = [_conv3_cold(w2, N) for N in targets]
+    asymptotics._pair_sums.cache_clear()
+    warm = [weight_convolution(w2, N, 3) for N in targets]
+    assert asymptotics._pair_sums.cache_info().hits == len(targets) - 1
+    assert [v.hex() for v in warm] == [v.hex() for v in cold]
+
+
+def test_convolution_k3_fills_only_what_it_reads(w2):
+    # 3 m_lo and 3 m_hi read the single pair sums s = 2 m_lo and s = 2 m_hi
+    m, _ = grid_weights(w2)
+    lo3, hi3 = 3 * int(m[0]), 3 * int(m[-1])
+    cold = {N: _conv3_cold(w2, N) for N in (lo3, hi3, w2.n_star)}
+    asymptotics._pair_sums.cache_clear()
+    P = asymptotics._pair_sums(w2)
+    assert weight_convolution(w2, lo3, 3).hex() == cold[lo3].hex()
+    assert np.count_nonzero(~np.isnan(P)) == 1 and not np.isnan(P[0])
+    assert weight_convolution(w2, hi3, 3).hex() == cold[hi3].hex()
+    assert np.count_nonzero(~np.isnan(P)) == 2 and not np.isnan(P[-1])
+    assert weight_convolution(w2, w2.n_star, 3).hex() == cold[w2.n_star].hex()
+    with pytest.raises(ValueError):
+        P[1] = 0.0
 
 
 def test_singular_integral_matches_convolution(w2, w3):

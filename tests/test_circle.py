@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import random
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanprimes import count_ternary_mitm
+from tanprimes import circle, count_ternary_mitm
 from tanprimes.circle import (
     circle_integral,
     fourier_coeff,
@@ -23,6 +24,14 @@ from tanprimes.circle import (
 from tanprimes.errors import GridTooCoarseWarning, InvalidParameter, Singular
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# 24 targets N* + offset, drawn from N*-100..N* by seed 1
+SEED1_OFFSETS = sorted(random.Random(1).sample(range(-100, 1), 24))
+
+
+def _cold_integral(*args):
+    circle._cubed_sums.cache_clear()
+    return circle_integral(*args)
 
 
 def test_prime_sum_origin_and_period(table2, block2):
@@ -198,3 +207,68 @@ def test_sum_samples_tags_and_values(table2, block2, w2):
         sum_samples("cubes", [0.1], w2)
     with pytest.raises(InvalidParameter):
         sum_samples("prime", [0.1], w2)
+
+
+def test_log_weights_must_match_table(table2, block2, w2):
+    # one log weight would broadcast over every prime, five would raise a
+    # bare numpy error; both are refused before any cache is touched
+    M = 3 * int(table2.f.max()) + 1
+    circle._cubed_sums.cache_clear()
+    for logs in (block2.logs[:1], block2.logs[:5]):
+        with pytest.raises(InvalidParameter):
+            circle_integral(table2, logs, w2.n_star, grid_size=M)
+        with pytest.raises(InvalidParameter):
+            prime_exp_sum(table2, logs, 0.25)
+        with pytest.raises(InvalidParameter):
+            sum_samples("prime", [], w2, values=table2, logs=logs)
+    info = circle._cubed_sums.cache_info()
+    assert info.hits == 0 and info.misses == 0
+
+
+def test_cached_quadrature_bits_equal_cold(table2, block2, w2):
+    # the crosscheck job's full circle and major arc at 24 targets: a warm
+    # cache gives the bits of a call with every cache cleared first
+    M = 3 * int(table2.f.max()) + 1
+    calls = [(w2.n_star + off, interval, grid)
+             for off in SEED1_OFFSETS
+             for interval, grid in (((0.0, 1.0), M), ((-w2.tau, w2.tau), 4096))]
+    cold = [_cold_integral(table2, block2.logs, *call) for call in calls]
+    circle._cubed_sums.cache_clear()
+    warm = [circle_integral(table2, block2.logs, *call) for call in calls]
+    assert circle._cubed_sums.cache_info().hits == len(calls) - 2
+    for w_val, c_val in zip(warm, cold):
+        assert (w_val.real.hex(), w_val.imag.hex()) == (c_val.real.hex(), c_val.imag.hex())
+
+
+def test_quadrature_cache_keyed_by_log_bits(table2, block2, w2):
+    # same frequencies, one log weight one ulp up: a fresh entry, not a stale one
+    M = 3 * int(table2.f.max()) + 1
+    logs = np.array(block2.logs, dtype=np.float64)
+    bumped = logs.copy()
+    bumped[5] = np.nextafter(bumped[5], np.inf)
+    circle._cubed_sums.cache_clear()
+    circle_integral(table2, logs, w2.n_star, grid_size=M)
+    warm = circle_integral(table2, bumped, w2.n_star, grid_size=M)
+    assert circle._cubed_sums.cache_info().misses == 2
+    assert warm == _cold_integral(table2, bumped, w2.n_star, (0.0, 1.0), M)
+
+
+def test_quadrature_cache_read_only(table2, block2):
+    circle._cubed_sums.cache_clear()
+    circle_integral(table2, block2.logs, 9378, (0.0, 0.5), 64)
+    key = (table2.f.astype(np.float64).tobytes(),
+           np.asarray(block2.logs, dtype=np.float64).tobytes(), 0.0, 0.5, 64)
+    alphas, S3 = circle._cubed_sums(*key)[0]
+    assert circle._cubed_sums.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        S3[0] = 0.0
+    with pytest.raises(ValueError):
+        alphas[0] = 0.5
+
+
+def test_coarse_grid_warns_on_cache_hit(table2, block2):
+    circle._cubed_sums.cache_clear()
+    for _ in range(2):
+        with pytest.warns(GridTooCoarseWarning):
+            circle_integral(table2, block2.logs, 9378, grid_size=1024)
+    assert circle._cubed_sums.cache_info().hits == 1

@@ -150,6 +150,47 @@ def test_invert_scalar_matches_vector():
         assert invert_map(float(t), _W2) == vec[i]
 
 
+def _newton_reference(t_arr, w):
+    # Bracketed Newton on every point at once, with done points masked
+    # rather than dropped: the arithmetic invert_map must reproduce.
+    t1, t2 = image_interval(w)
+    lo = np.full_like(t_arr, w.delta1 * (1.0 - 1e-12))
+    hi = np.full_like(t_arr, w.delta2 + 1.0)
+    y = np.clip(w.delta1 + (t_arr - t1) * ((w.delta2 - w.delta1) / (t2 - t1)), lo, hi)
+    done = np.zeros(t_arr.shape, dtype=bool)
+    tol = 8.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(t_arr))
+    for _ in range(200):
+        r = y ** w.c * np.tan(np.log(y)) ** w.theta - t_arr
+        done |= np.abs(r) <= tol
+        if done.all():
+            break
+        lo = np.where((r < 0.0) & ~done, np.maximum(lo, y), lo)
+        hi = np.where((r > 0.0) & ~done, np.minimum(hi, y), hi)
+        tn = np.tan(np.log(y))
+        deriv = y ** (w.c - 1.0) * tn ** (w.theta - 1.0) * (w.c * tn + w.theta * (1.0 + tn * tn))
+        y_new = y - r / deriv
+        fallback = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
+        y_new = np.where(fallback, 0.5 * (lo + hi), y_new)
+        done |= y_new == y
+        y = np.where(done, y, y_new)
+    return y
+
+
+def test_invert_bits_equal_masked_newton(monkeypatch):
+    # whole grid of a k=3 window, plus the endpoints and the top slack, in
+    # chunks that leave a short last one: every y bit-identical
+    from tanprimes import window as window_mod
+
+    for w in (_W2, _W3, quiet_window(3, 1.05, 2.0)):
+        t1, t2 = image_interval(w)
+        m = np.arange(math.floor(w.n1) + 1, w.n_star + 1, dtype=np.float64)
+        ts = np.concatenate([m, [t1, t2, t2 + 0.5], np.linspace(t1, t2, 1001)])
+        want = _newton_reference(ts, w)
+        for chunk in (window_mod._NEWTON_CHUNK, 1000):
+            monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", chunk)
+            assert invert_map(ts, w).tobytes() == want.tobytes()
+
+
 def test_invert_accepts_rounding_slack_above_top():
     # n_star can exceed t(delta2) by up to 1/2 from the rounding
     y = invert_map(float(_W3.n_star), _W3)
