@@ -16,6 +16,11 @@ The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, interval, grid): the O(grid * primes)
 exponentials are paid once, and each further target costs one O(grid)
 contraction with the same bits as a cold call.
+
+One sum at one alpha builds its terms in chunks of _TERM_CHUNK, on the
+thread pool when the CLI opened one (see tanprimes.pool), into a single
+array that one np.sum adds; its bits depend on neither the chunk nor the
+pool width.
 """
 from __future__ import annotations
 
@@ -27,12 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .asymptotics import grid_weights
 from .errors import GridTooCoarseWarning, InvalidParameter, Singular
 from .seqeval import ValueTable, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
+_TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sum
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
 
@@ -47,9 +54,22 @@ class SumSample:
 
 def _exp_sum(coeff: np.ndarray, freq: np.ndarray, alpha: float) -> complex:
     # e(alpha*f) with the phase reduced mod 1 first; exact at integer alpha.
-    phase = np.mod(alpha * freq.astype(np.float64), 1.0)
-    z = np.exp(2j * np.pi * phase)
-    return complex(np.sum(coeff * z))
+    # The phase x - floor(x) has the bits of np.mod(x, 1.0) for finite x.
+    # np.mod takes fmod(x, 1) = x - trunc(x), which is exact, and for x < 0
+    # with a nonzero remainder adds 1, one rounding of the real x - floor(x).
+    # x - floor(x) is that same real, rounded once (exact when x >= 0), and
+    # both give +0.0 at integer x. The terms are built chunk by chunk on
+    # the pool into one array; one np.sum over it keeps the pairwise layout
+    # of a whole-array sum, so the bits depend on neither chunk nor width.
+    terms = np.empty(len(freq), dtype=np.complex128)
+
+    def run(start):
+        chunk = slice(start, start + _TERM_CHUNK)
+        x = alpha * freq[chunk]
+        terms[chunk] = coeff[chunk] * np.exp(2j * np.pi * (x - np.floor(x)))
+
+    pool.map_chunks(run, range(0, len(freq), _TERM_CHUNK))
+    return complex(np.sum(terms))
 
 
 def _prime_logs(values: ValueTable, logs) -> np.ndarray:
@@ -94,19 +114,23 @@ def sum_samples(
     values: ValueTable | None = None,
     logs: np.ndarray | None = None,
 ) -> list[SumSample]:
-    """Evaluate one of the three sums on a list of alphas, tagged samples out."""
+    """Evaluate one of the three sums on a list of alphas, tagged samples out.
+
+    The coefficients and frequencies are resolved once, before any sum
+    runs, so the pool inside _exp_sum never enters a cached function.
+    """
     if kind == "prime":
         if values is None or logs is None:
             raise InvalidParameter("prime sums need the value table and log weights")
-        logs = _prime_logs(values, logs)
-        fn = lambda a: prime_exp_sum(values, logs, a)
+        coeff, freq = _prime_logs(values, logs), values.f
     elif kind == "smooth":
-        fn = lambda a: smooth_exp_sum(w, a)
+        freq, coeff = grid_weights(w)
     elif kind == "integer":
-        fn = lambda a: integer_exp_sum(w, a)
+        freq = _integer_freqs(w)
+        coeff = np.ones(len(freq))
     else:
         raise InvalidParameter(f"unknown sum kind {kind!r}")
-    return [SumSample(float(a), fn(float(a)), kind, w) for a in alphas]
+    return [SumSample(float(a), _exp_sum(coeff, freq, float(a)), kind, w) for a in alphas]
 
 
 @functools.lru_cache(maxsize=_CUBED_SUM_CACHE)

@@ -1,8 +1,10 @@
 """Command-line front end; emits CSV or JSON, deterministic for a fixed config.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage, 3 domain error,
-4 resource guard. A thread count from --threads or TANPRIMES_THREADS is
-validated and has no effect: every path runs in one thread.
+4 resource guard. The thread count from --threads or TANPRIMES_THREADS
+(default 1) is the width of the pool that runs the chunks of the
+per-point layers for this run (see tanprimes.pool); no output bit depends
+on it, and the width is back to 1 when main returns.
 
 Each subcommand runs on the argparse namespace and returns two callables,
 one building its JSON object and one writing its CSV text (None where only
@@ -20,7 +22,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import asymptotics, circle, exponents, repcount
+from . import asymptotics, circle, exponents, pool, repcount
 from .errors import TanprimesError, UsageError
 from .primesieve import sieve_segment
 from .seqeval import table_to_csv, value_table
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--k", type=int, help="window index")
             g.add_argument("--N", type=int, help="target that must solve the window equation")
             sp.add_argument("--threads", type=int, default=None,
-                            help="thread count, validated, no effect (TANPRIMES_THREADS overrides)")
+                            help="width of the thread pool for the per-point layers; no output "
+                                 "bit depends on it (TANPRIMES_THREADS overrides)")
             output(sp, help="output path, - for stdout")
         return sp
 
@@ -173,10 +176,9 @@ def _cmd_binary(a):
 def _cmd_values(a):
     w, _ = _window(a)
     values, _logs = _table(w, a.threads)
-    return (lambda: {"rows": [{"n": int(values.n[i]), "f": int(values.f[i]),
-                               "frac": float(values.frac[i]),
-                               "certified": bool(values.certified[i])}
-                              for i in range(len(values))],
+    cols = (values.n, values.f, values.frac, values.certified)
+    return (lambda: {"rows": [{"n": n, "f": f, "frac": x, "certified": b}
+                              for n, f, x, b in zip(*(col.tolist() for col in cols))],
                      "window": dataclasses.asdict(w)},
             lambda fh: table_to_csv(values, fh))
 
@@ -309,15 +311,16 @@ def main(argv=None) -> int:
     try:
         a = build_parser().parse_args(argv)
         a.threads = _resolve_threads(getattr(a, "threads", None))
-        if a.command == "selftest":
-            return _selftest()
-        _check_out(a.out_path)
-        to_json, write_csv = a.run(a)
-        with _open_out(a.out_path) as fh:
-            if write_csv is None or a.out_format == "json":
-                fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
-            else:
-                write_csv(fh)
+        with pool.threads(a.threads):
+            if a.command == "selftest":
+                return _selftest()
+            _check_out(a.out_path)
+            to_json, write_csv = a.run(a)
+            with _open_out(a.out_path) as fh:
+                if write_csv is None or a.out_format == "json":
+                    fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
+                else:
+                    write_csv(fh)
         return 0
     except TanprimesError as exc:
         prefix = {2: "usage error", 4: "resource guard"}.get(exc.exit_code, "error")

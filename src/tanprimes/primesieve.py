@@ -52,8 +52,10 @@ def sieve_segment(a: float, b: float, threads: int = 1) -> PrimeBlock:
     """Exactly the primes in (a, b], resolved as integers (floor(a), floor(b)].
 
     Real bounds are accepted because window endpoints are irrational.
-    Segments are sieved in ascending order. threads is accepted and has no
-    effect: the sieve is a small share of any run.
+    Segments are sieved in ascending order, in one thread. threads is
+    accepted for callers that pass the run's thread count and has no
+    effect: the sieve is a small share of any run, and the pool lives in
+    the per-point layers (see tanprimes.pool).
     """
     if not (a < b):
         raise InvalidRange(f"need a < b, got a={a}, b={b}")

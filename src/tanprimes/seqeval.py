@@ -4,6 +4,10 @@ The double-precision value is trusted unless it lands within an absolute
 guard of an integer, in which case the value is recomputed with at least
 128 significand bits. A value that stays within 2^-40 of an integer even
 then is reported as AmbiguousFloor, never silently rounded.
+
+The double value is always computed with scalar math calls (libm), also
+in value_table, which vectorises only the floor, the fractional part and
+the guard test; the table and its CSV are built in chunks of rows.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from .errors import AmbiguousFloor, DomainError
 GUARD_ABS = 1e-6          # escalate when this close to an integer
 AMBIGUOUS_ABS = 2.0 ** -40
 _ESCALATED_PREC = 160     # bits; comfortably past the required 128
+_ROW_CHUNK = 2 ** 12      # rows per chunk in value_table and table_to_csv
 
 
 @dataclass(frozen=True)
@@ -108,21 +113,50 @@ def frac_norm(n: int, c: float, theta: float) -> float:
 
 
 def value_table(ns, c: float, theta: float) -> ValueTable:
-    """Tabulate certified floors for an ascending iterable of integers."""
+    """Tabulate certified floors for an ascending iterable of integers.
+
+    Rows are taken in chunks of _ROW_CHUNK. The double stage makes the same
+    scalar math calls as floor_value, on Python ints: numpy's vectorised log,
+    tan and pow differ from libm in the last bits, which would move frac.
+    numpy then floors, takes the fractional parts and picks the rows within
+    GUARD_ABS of an integer, and only those go through certified_floor. The
+    first row floor_value refuses raises its DomainError once every row
+    before it is done, as a row-by-row loop would.
+    """
     ns = np.asarray(ns, dtype=np.int64)
     f = np.empty(len(ns), dtype=np.int64)
     frac = np.empty(len(ns), dtype=np.float64)
     cert = np.zeros(len(ns), dtype=bool)
-    for i, n in enumerate(ns):
-        f[i], frac[i], cert[i] = _certified(int(n), c, theta)
+    for start in range(0, len(ns), _ROW_CHUNK):
+        rows = ns[start:start + _ROW_CHUNK]
+        ints = rows[:_first(rows < 1)].tolist()
+        tans = [math.tan(math.log(n)) for n in ints]
+        ok = _first(np.array(tans) <= 0.0)  # rows before the first refused one
+        v = np.array([n ** c * tn ** theta for n, tn in zip(ints[:ok], tans[:ok])])
+        fl = np.floor(v)
+        r = v - fl
+        near = ~(np.minimum(r, 1.0 - r) >= GUARD_ABS)  # NaN and inf too
+        fl[near] = 0.0  # filled in below; keeps the int cast in range
+        f[start:start + ok] = fl
+        frac[start:start + ok] = r
+        for i in np.flatnonzero(near).tolist():
+            f[start + i], frac[start + i], cert[start + i] = certified_floor(
+                float(v[i]), _exact_value, ints[i], c, theta)
+        if ok < len(rows):
+            _certified(int(rows[ok]), c, theta)  # raises that row's DomainError
     return ValueTable(n=ns, f=f, frac=frac, certified=cert)
+
+
+def _first(mask: np.ndarray) -> int:
+    # index of the first True, or the length when there is none
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
 
 
 def table_to_csv(table: ValueTable, fh) -> None:
     """Write the pinned CSV layout: n,f,frac,certified (frac to 12 digits)."""
     fh.write("n,f,frac,certified\n")
-    for i in range(len(table)):
-        fh.write(
-            f"{int(table.n[i])},{int(table.f[i])},"
-            f"{float(table.frac[i]):.12f},{int(table.certified[i])}\n"
-        )
+    for start in range(0, len(table), _ROW_CHUNK):
+        cols = (col[start:start + _ROW_CHUNK].tolist()
+                for col in (table.n, table.f, table.frac, table.certified))
+        fh.write("".join(["%d,%d,%.12f,%d\n" % row for row in zip(*cols)]))

@@ -9,6 +9,9 @@ and the major-arc half width tau.
 
 All operations are pure; forward_map / invert_map / weight accept scalars
 or numpy arrays and return matching shapes (python floats for scalars).
+invert_map and weight solve arrays in chunks of _NEWTON_CHUNK points, on
+the thread pool when the CLI opened one (see tanprimes.pool); every point
+follows its own trajectory, so the bits depend on neither.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from . import pool
 from .errors import (
     InvalidParameter,
     NoConvergence,
@@ -36,7 +40,7 @@ _MP_PREC = 120       # construction precision in bits, rounded to float at the e
 # invert_map accepts targets slightly above t(delta2): n_star is the nearest
 # integer to t(delta2) and may round upward by as much as 1/2.
 _UPPER_SLACK = 0.5
-_NEWTON_CHUNK = 2 ** 14  # targets per Newton solve in invert_map
+_NEWTON_CHUNK = 2 ** 15  # targets per Newton solve in invert_map
 
 
 @dataclass(frozen=True)
@@ -228,14 +232,9 @@ def _newton(ta, w: WindowParams, t1: float, t2: float):
     return y
 
 
-def invert_map(t, w: WindowParams):
-    """Inverse of the forward map: the y with t(y) = t.
-
-    Bracketed Newton iteration with bisection fallback; converges to
-    machine precision, guaranteed within 1e-9 relative residual. Accepts
-    t up to t(delta2) + 1/2 because n_star may round upward. Targets are
-    solved in chunks of _NEWTON_CHUNK, so the working arrays stay small.
-    """
+def _solve(t, w: WindowParams, finish):
+    # finish(y) for y = the inverse of each target, solved and finished in
+    # chunks of _NEWTON_CHUNK on the pool; each chunk writes only its slice.
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     t1, t2 = image_interval(w)
     slack = 1e-9 * np.maximum(1.0, np.abs(t_arr))
@@ -243,24 +242,48 @@ def invert_map(t, w: WindowParams):
         raise OutOfRange(
             f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
         )
-    y = np.empty_like(t_arr)
-    for start in range(0, len(t_arr), _NEWTON_CHUNK):
+    out = np.empty_like(t_arr)
+
+    def run(start):
         chunk = slice(start, start + _NEWTON_CHUNK)
-        y[chunk] = _newton(t_arr[chunk], w, t1, t2)
+        out[chunk] = finish(_newton(t_arr[chunk], w, t1, t2))
+
+    pool.map_chunks(run, range(0, len(t_arr), _NEWTON_CHUNK))
+    return out
+
+
+def invert_map(t, w: WindowParams):
+    """Inverse of the forward map: the y with t(y) = t.
+
+    Bracketed Newton iteration with bisection fallback; converges to
+    machine precision, guaranteed within 1e-9 relative residual. Accepts
+    t up to t(delta2) + 1/2 because n_star may round upward. Targets are
+    solved in chunks of _NEWTON_CHUNK, on the thread pool when one is open
+    (see tanprimes.pool), so the working arrays stay small; every point
+    follows its own trajectory, so the bits depend on neither.
+    """
+    y = _solve(t, w, lambda y: y)
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(y[0])
     return y
+
+
+def _weight_of(y, w: WindowParams):
+    ly = np.log(y)
+    tn = np.tan(ly)
+    sec2 = 1.0 + tn * tn
+    return y ** (1.0 - w.c) / ((w.c * tn + w.theta * sec2) * tn ** (w.theta - 1.0))
 
 
 def weight(m, w: WindowParams):
     """dy/dt at target value m: the smooth coefficient attached to m.
 
     Equals y^(1-c) / ((c tan(log y) + theta sec^2(log y)) tan^(theta-1)(log y))
-    at y = invert_map(m); the reciprocal of the forward derivative.
+    at y = invert_map(m); the reciprocal of the forward derivative. Arrays
+    are inverted and weighted chunk by chunk, like invert_map, so no
+    full-length temporary is made.
     """
-    y = np.asarray(invert_map(m, w), dtype=np.float64)
-    ly = np.log(y)
-    tn = np.tan(ly)
-    sec2 = 1.0 + tn * tn
-    out = y ** (1.0 - w.c) / ((w.c * tn + w.theta * sec2) * tn ** (w.theta - 1.0))
-    return float(out) if np.isscalar(m) or np.ndim(m) == 0 else out
+    if np.isscalar(m) or np.ndim(m) == 0:
+        # a 0-d array, whose ufuncs return numpy scalars: the scalar bits
+        return float(_weight_of(np.asarray(invert_map(m, w)), w))
+    return _solve(m, w, lambda y: _weight_of(y, w))

@@ -209,6 +209,68 @@ def test_sum_samples_tags_and_values(table2, block2, w2):
         sum_samples("prime", [0.1], w2)
 
 
+def _exp_sum_reference(coeff, freq, alpha):
+    # the sum as it was before the chunking: np.mod phases and full-length
+    # temporaries over the whole array
+    phase = np.mod(alpha * freq.astype(np.float64), 1.0)
+    z = np.exp(2j * np.pi * phase)
+    return complex(np.sum(coeff * z))
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+_BIT_ALPHAS = [-0.5, -0.4375, 0.0, 1 / 3, 0.5, 1.0, 2.5]
+
+
+@pytest.mark.parametrize("k, chunk, width", [
+    (2, None, 1), (2, None, 2), (3, None, 1), (3, None, 2),
+    (2, 1, 1), (2, 7, 2), (2, 10 ** 9, 1), (3, 10 ** 9, 2),
+])
+def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
+    # every kind at every alpha, .hex()-equal to the whole-array np.mod sum,
+    # for any term chunk (one term, seven, past the array) and pool width
+    from tanprimes import pool
+    from tanprimes.asymptotics import grid_weights
+
+    w, table, block = (request.getfixturevalue(f"{name}{k}") for name in ("w", "table", "block"))
+    if chunk is not None:
+        monkeypatch.setattr(circle, "_TERM_CHUNK", chunk)
+    m, wt = grid_weights(w)
+    freqs = circle._integer_freqs(w)
+    sums = {"prime": (block.logs, table.f), "smooth": (wt, m),
+            "integer": (np.ones(len(freqs)), freqs)}
+    with pool.threads(width):
+        for kind, (coeff, freq) in sums.items():
+            want = [_hex(_exp_sum_reference(coeff, freq, a)) for a in _BIT_ALPHAS]
+            got = sum_samples(kind, _BIT_ALPHAS, w, values=table, logs=block.logs)
+            assert [_hex(s.value) for s in got] == want, kind
+            assert [_hex(circle._exp_sum(coeff, freq, a)) for a in _BIT_ALPHAS] == want
+
+
+def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
+    # 16 smooth sums on a pool of 2 hold one array of terms, 16 bytes a
+    # point, plus one chunk of temporaries per thread: under twice the
+    # grid's own bytes. Two whole-array sums at once took 5 times as much.
+    import tracemalloc
+
+    from tanprimes import pool
+    from tanprimes.asymptotics import grid_weights
+
+    monkeypatch.setattr(circle, "_TERM_CHUNK", 2 ** 12)
+    m, wt = grid_weights(w3)  # cached before the measurement
+    alphas = [-0.5 + j / 16 for j in range(16)]
+    with pool.threads(2):
+        tracemalloc.start()
+        try:
+            sum_samples("smooth", alphas, w3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * (m.nbytes + wt.nbytes)
+
+
 def test_log_weights_must_match_table(table2, block2, w2):
     # one log weight would broadcast over every prime, five would raise a
     # bare numpy error; both are refused before any cache is touched

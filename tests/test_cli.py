@@ -80,17 +80,77 @@ def test_scan_band_rows(capsys, w2):
     assert lines[1].startswith(str(w2.n_star - 2) + ",")
 
 
-def test_compare_deterministic_across_threads(capsys, monkeypatch):
-    args = ["compare", "--k", "2", "--c", "1.05", "--theta", "2.0", "--band", "-3:3"]
-    code, first, _ = run(capsys, *args)
-    assert code == 0
-    assert first.splitlines()[0] == "N,count,weighted,main_term,ratio"
-    code, second, _ = run(capsys, *args)
-    assert second == first
-    monkeypatch.setenv("TANPRIMES_THREADS", "3")
-    code, third, _ = run(capsys, *args)
-    assert code == 0
-    assert third == first
+_K2 = ["--k", "2", "--c", "1.05", "--theta", "2.0"]
+_K3 = ["--k", "3"]
+_THREAD_CASES = {
+    "compare-k2": ["compare", *_K2, "--band", "-3:3"],
+    **{f"values-k{k}": ["values", *sel] for k, sel in ((2, _K2), (3, _K3))},
+    **{f"expsum-{kind}-k{k}": ["expsum", *sel, "--kind", kind, "--grid", "16"]
+       for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
+}
+
+
+@pytest.mark.parametrize("args", list(_THREAD_CASES.values()), ids=list(_THREAD_CASES))
+def test_compare_deterministic_across_threads(capsys, monkeypatch, args):
+    # the same bytes at every pool width, from the flag or the environment,
+    # with every cache cleared first and chunks small enough that several
+    # run at once; the width is back to 1 after each run
+    from tanprimes import circle, pool, seqeval, window
+    from tanprimes.asymptotics import grid_weights
+
+    monkeypatch.setattr(window, "_NEWTON_CHUNK", 4096)
+    monkeypatch.setattr(circle, "_TERM_CHUNK", 4096)
+    monkeypatch.setattr(seqeval, "_ROW_CHUNK", 100)
+    outs = []
+    for threads, env in ((1, None), (2, None), (3, None), (None, "2")):
+        if env is not None:
+            monkeypatch.setenv("TANPRIMES_THREADS", env)
+        grid_weights.cache_clear()
+        circle._integer_freqs.cache_clear()
+        code, out, _ = run(capsys, *args, *(() if threads is None else ("--threads", str(threads))))
+        assert code == 0
+        assert pool.width() == 1
+        outs.append(out)
+    assert outs[0].count("\n") > 7
+    assert outs[1:] == outs[:1] * 3
+
+
+def test_pool_runs_chunks_on_its_threads(capsys, monkeypatch):
+    # --threads 2 solves Newton chunks on the pool's threads, --threads 1
+    # on the calling thread only
+    import threading
+
+    from tanprimes import window
+    from tanprimes.asymptotics import grid_weights
+
+    names = set()
+    newton = window._newton
+
+    def spy(*a):
+        names.add(threading.current_thread().name)
+        return newton(*a)
+
+    monkeypatch.setattr(window, "_newton", spy)
+    monkeypatch.setattr(window, "_NEWTON_CHUNK", 4096)
+    for threads in ("1", "2"):
+        grid_weights.cache_clear()
+        names.clear()
+        assert run(capsys, "expsum", *_K2, "--kind", "smooth", "--grid", "2",
+                   "--threads", threads)[0] == 0
+        pool_threads = {n for n in names if n.startswith("tanprimes")}
+        assert (threads == "2") == bool(pool_threads)
+        assert (threads == "1") == (names == {threading.current_thread().name})
+
+
+def test_pool_loads_nothing_until_used():
+    # importing the CLI, or a --threads 2 run that maps no chunks, leaves
+    # concurrent.futures unloaded
+    import subprocess
+    import sys
+
+    code = ("import sys, tanprimes.cli as c; assert c.main(['window', '--k', '2', "
+            "'--threads', '2']) == 0; assert 'concurrent.futures' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
 def test_binary_pair(capsys, w3):

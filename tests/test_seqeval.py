@@ -134,3 +134,92 @@ def test_log_window_position_determines_domain():
     assert floor_value(1621, 1.05, 2.0).f > 0
     with pytest.raises(DomainError):
         floor_value(math.ceil(math.e ** (2 * math.pi + math.pi / 2)) + 1, 1.05, 2.0)
+
+
+def _value_table_reference(ns, c, theta):
+    # the row-by-row loop as it was: one scalar _certified call per row
+    from tanprimes.seqeval import _certified
+
+    ns = np.asarray(ns, dtype=np.int64)
+    f = np.empty(len(ns), dtype=np.int64)
+    frac = np.empty(len(ns), dtype=np.float64)
+    cert = np.zeros(len(ns), dtype=bool)
+    for i, n in enumerate(ns):
+        f[i], frac[i], cert[i] = _certified(int(n), c, theta)
+    return f, frac, cert
+
+
+def _table_rows(request):
+    # (ns, c, theta) for k=2 and k=3 primes and integers, and the k=4
+    # integers around n = 752 888, the one floor there that escalates
+    out = []
+    for k in (2, 3):
+        w = request.getfixturevalue(f"w{k}")
+        out.append((request.getfixturevalue(f"block{k}").primes, w.c, w.theta))
+        out.append((np.arange(math.floor(w.delta1) + 1, math.floor(w.delta2) + 1), w.c, w.theta))
+    out.append((np.arange(751888, 753889), 1.02, 1.5))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_value_table_bits_equal_row_loop(request, monkeypatch, chunk):
+    from tanprimes import seqeval
+
+    if chunk is not None:
+        monkeypatch.setattr(seqeval, "_ROW_CHUNK", chunk)
+    escalated = 0
+    for ns, c, theta in _table_rows(request):
+        t = value_table(ns, c, theta)
+        f, frac, cert = _value_table_reference(ns, c, theta)
+        assert t.f.tobytes() == f.tobytes()
+        assert t.frac.tobytes() == frac.tobytes()
+        assert t.certified.tobytes() == cert.tobytes()
+        escalated += int(cert.sum())
+    assert escalated == 1
+
+
+def _outcome(fn, ns, c, theta):
+    try:
+        fn(ns, c, theta)
+    except (DomainError, AmbiguousFloor) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_value_table_refuses_like_row_loop(monkeypatch, chunk):
+    # the first refused row raises, with its own message, after every row
+    # before it is done: n < 1, tan(log n) <= 0, and an ambiguous floor
+    # ahead of a refused row
+    from tanprimes import seqeval
+
+    if chunk is not None:
+        monkeypatch.setattr(seqeval, "_ROW_CHUNK", chunk)
+    cases = [([0], 1.05, 2.0), ([-7, 3], 1.05, 2.0), ([3, 0], 1.05, 2.0),
+             ([3, 5], 1.05, 2.0), ([3, 11, 5, 0], 1.05, 2.0), ([3, 11, 0, 5], 1.05, 2.0),
+             ([3, 5], 2.0, 0.0), ([11, 3, 0], 2.0, 0.0)]
+    for ns, c, theta in cases:
+        want = _outcome(_value_table_reference, ns, c, theta)
+        assert want is not None
+        assert _outcome(value_table, ns, c, theta) == want
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_csv_bytes_equal_row_writer(request, monkeypatch, chunk):
+    from tanprimes import seqeval
+
+    tables = [value_table(ns, c, theta) for ns, c, theta in _table_rows(request)]
+    want = []
+    for t in tables:
+        buf = io.StringIO()
+        buf.write("n,f,frac,certified\n")
+        for i in range(len(t)):
+            buf.write(f"{int(t.n[i])},{int(t.f[i])},"
+                      f"{float(t.frac[i]):.12f},{int(t.certified[i])}\n")
+        want.append(buf.getvalue())
+    if chunk is not None:
+        monkeypatch.setattr(seqeval, "_ROW_CHUNK", chunk)
+    for t, text in zip(tables, want):
+        buf = io.StringIO()
+        table_to_csv(t, buf)
+        assert buf.getvalue() == text

@@ -176,19 +176,32 @@ def _newton_reference(t_arr, w):
     return y
 
 
+def _weight_reference(y, w):
+    # the weight formula on the whole array at once, as before the chunking
+    tn = np.tan(np.log(y))
+    sec2 = 1.0 + tn * tn
+    return y ** (1.0 - w.c) / ((w.c * tn + w.theta * sec2) * tn ** (w.theta - 1.0))
+
+
 def test_invert_bits_equal_masked_newton(monkeypatch):
     # whole grid of a k=3 window, plus the endpoints and the top slack, in
-    # chunks that leave a short last one: every y bit-identical
+    # chunks that leave a short last one, serially and on a pool of 2: every
+    # y and every weight bit-identical to the whole-array references
+    from tanprimes import pool
     from tanprimes import window as window_mod
 
+    default = window_mod._NEWTON_CHUNK
     for w in (_W2, _W3, quiet_window(3, 1.05, 2.0)):
         t1, t2 = image_interval(w)
         m = np.arange(math.floor(w.n1) + 1, w.n_star + 1, dtype=np.float64)
         ts = np.concatenate([m, [t1, t2, t2 + 0.5], np.linspace(t1, t2, 1001)])
         want = _newton_reference(ts, w)
-        for chunk in (window_mod._NEWTON_CHUNK, 1000):
+        want_wt = _weight_reference(want, w)
+        for chunk, width in ((default, 1), (1000, 1), (default, 2)):
             monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", chunk)
-            assert invert_map(ts, w).tobytes() == want.tobytes()
+            with pool.threads(width):
+                assert invert_map(ts, w).tobytes() == want.tobytes()
+                assert weight(ts, w).tobytes() == want_wt.tobytes()
 
 
 def test_invert_accepts_rounding_slack_above_top():
