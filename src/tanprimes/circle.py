@@ -8,19 +8,26 @@ with integer frequencies:
   integer_exp_sum  over all integers in the window, coefficient 1, frequency f(n).
 
 Because frequencies are integers, alpha*freq is reduced mod 1 before the
-exponential; values at alpha and alpha+1 are then bit-identical, and the
-full-circle uniform quadrature of the cubed prime sum reproduces the
-representation count exactly once the grid beats 3*max(f).
+exponential, as x - floor(x), which has the bits of np.mod(x, 1.0);
+values at alpha and alpha+1 are then bit-identical, and the full-circle
+uniform quadrature of the cubed prime sum reproduces the representation
+count exactly once the grid beats 3*max(f).
+
+A dyadic alpha = num/2^d (every point of a power-of-two --grid) reads
+e(alpha*f) from a table of the 2^d roots of unity at index (num*f) mod 2^d,
+when 2^d is at most the number of terms and |num|*max|f| < 2^53. The phase
+is then exact, each root is the np.exp the per-term path would call, and
+the sum keeps its bits; any other alpha exponentiates each term.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
-circle_integral caches it per (table, interval, grid): the O(grid * primes)
-exponentials are paid once, and each further target costs one O(grid)
-contraction with the same bits as a cold call.
+circle_integral caches it per (table, log weights, interval, grid): the
+O(grid * primes) exponentials are paid once, and each further target costs
+one O(grid) contraction with the same bits as a cold call.
 
 One sum at one alpha builds its terms in chunks of _TERM_CHUNK, on the
 thread pool when the CLI opened one (see tanprimes.pool), into a single
 array that one np.sum adds; its bits depend on neither the chunk nor the
-pool width.
+pool width. sum_samples reuses that array for every alpha.
 """
 from __future__ import annotations
 
@@ -52,24 +59,77 @@ class SumSample:
     window: WindowParams
 
 
-def _exp_sum(coeff: np.ndarray, freq: np.ndarray, alpha: float) -> complex:
-    # e(alpha*f) with the phase reduced mod 1 first; exact at integer alpha.
-    # The phase x - floor(x) has the bits of np.mod(x, 1.0) for finite x.
-    # np.mod takes fmod(x, 1) = x - trunc(x), which is exact, and for x < 0
-    # with a nonzero remainder adds 1, one rounding of the real x - floor(x).
-    # x - floor(x) is that same real, rounded once (exact when x >= 0), and
-    # both give +0.0 at integer x. The terms are built chunk by chunk on
-    # the pool into one array; one np.sum over it keeps the pairwise layout
-    # of a whole-array sum, so the bits depend on neither chunk nor width.
+def _frac(x: np.ndarray) -> np.ndarray:
+    # The phase x - floor(x) has the bits of np.mod(x, 1.0) for finite x,
+    # at a sixteenth of its cost. np.mod takes fmod(x, 1) = x - trunc(x),
+    # which is exact, and for x < 0 with a nonzero remainder adds 1, one
+    # rounding of the real x - floor(x). x - floor(x) is that same real,
+    # rounded once (exact when x >= 0), and both give +0.0 at integer x.
+    fl = np.floor(x)
+    return np.subtract(x, fl, out=fl)
+
+
+def _freq_bound(freq: np.ndarray) -> int | None:
+    # max(1, max |f|) for integer frequencies, None for any other dtype.
+    # min and max, since np.abs(freq).max() makes a full-length temporary.
+    if freq.dtype.kind not in "iu":
+        return None
+    return max(1, -int(freq.min()), int(freq.max())) if len(freq) else 1
+
+
+def _dyadic(alpha: float, n: int, f_bound: int | None) -> tuple[int, int] | None:
+    # alpha = num/den with den a power of two, when the roots-of-unity table
+    # is exact and no longer than the n terms it serves (a tiny alpha such
+    # as 2^-1074 would otherwise ask for 2^1074 roots); else None.
+    if f_bound is None or not math.isfinite(alpha):
+        return None
+    num, den = alpha.as_integer_ratio()
+    if den > n or abs(num) * f_bound >= 2 ** 53:
+        return None
+    return num, den
+
+
+def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
+    # Sum of coeff * e(alpha * freq) at each alpha, with the phase reduced
+    # mod 1 first; exact at integer alpha. The terms of one alpha are built
+    # chunk by chunk on the pool into one array, shared by every alpha; one
+    # np.sum over it keeps the pairwise layout of a whole-array sum, so the
+    # bits depend on neither chunk nor width.
+    #
+    # A dyadic alpha = num/den (every point of a power-of-two grid) takes
+    # e(alpha * f) from a table of den roots of unity, with the same bits:
+    # |num * f| < 2^53, so alpha * f = num * f / den is exact in float64 and
+    # num * f exact in int64; its phase is exactly r/den, r = (num * f) mod
+    # den, which the mask with den - 1 gives for either sign. Root r is
+    # np.exp of the float the general path hands np.exp for that phase, and
+    # the coefficient multiplies it as before. Any other alpha (non-dyadic,
+    # non-finite, too large, or over frequencies of a non-integer dtype)
+    # takes the general path.
     terms = np.empty(len(freq), dtype=np.complex128)
+    chunks = [slice(s, s + _TERM_CHUNK) for s in range(0, len(freq), _TERM_CHUNK)]
+    f_bound = _freq_bound(freq)
+    sums = []
+    for alpha in alphas:
+        ratio = _dyadic(alpha, len(freq), f_bound)
+        if ratio is None:
+            def run(chunk):
+                terms[chunk] = coeff[chunk] * np.exp(2j * np.pi * _frac(alpha * freq[chunk]))
+        else:
+            num, den = ratio
+            roots = np.exp(2j * np.pi * (np.arange(den) / den))
 
-    def run(start):
-        chunk = slice(start, start + _TERM_CHUNK)
-        x = alpha * freq[chunk]
-        terms[chunk] = coeff[chunk] * np.exp(2j * np.pi * (x - np.floor(x)))
+            def run(chunk):
+                r = num * freq[chunk].astype(np.int64, copy=False)
+                r &= den - 1
+                terms[chunk] = coeff[chunk] * roots[r]
 
-    pool.map_chunks(run, range(0, len(freq), _TERM_CHUNK))
-    return complex(np.sum(terms))
+        pool.map_chunks(run, chunks)
+        sums.append(complex(np.sum(terms)))
+    return sums
+
+
+def _exp_sum(coeff: np.ndarray, freq: np.ndarray, alpha: float) -> complex:
+    return _exp_sums(coeff, freq, [alpha])[0]
 
 
 def _prime_logs(values: ValueTable, logs) -> np.ndarray:
@@ -130,7 +190,9 @@ def sum_samples(
         coeff = np.ones(len(freq))
     else:
         raise InvalidParameter(f"unknown sum kind {kind!r}")
-    return [SumSample(float(a), _exp_sum(coeff, freq, float(a)), kind, w) for a in alphas]
+    alphas = [float(a) for a in alphas]
+    sums = _exp_sums(coeff, freq, alphas)
+    return [SumSample(a, z, kind, w) for a, z in zip(alphas, sums)]
 
 
 @functools.lru_cache(maxsize=_CUBED_SUM_CACHE)
@@ -146,7 +208,7 @@ def _cubed_sums(
     for start in range(0, M + 1, _ALPHA_CHUNK):
         j = np.arange(start, min(start + _ALPHA_CHUNK, M + 1), dtype=np.float64)
         alphas = a + j * h
-        phases = np.mod(alphas[:, None] * f[None, :], 1.0)
+        phases = _frac(alphas[:, None] * f[None, :])
         S = np.sum(np.exp(2j * np.pi * phases) * logs[None, :], axis=1)
         S3 = S ** 3
         alphas.flags.writeable = False
@@ -194,7 +256,7 @@ def circle_integral(
     total = 0.0 + 0.0j
     # Endpoints j = 0 and j = M carry the trapezoid 1/2.
     for i, (alphas, S3) in enumerate(chunks):
-        integrand = S3 * np.exp(-2j * np.pi * np.mod(alphas * N, 1.0))
+        integrand = S3 * np.exp(-2j * np.pi * _frac(alphas * N))
         coeff = np.ones(len(alphas))
         if i == 0:
             coeff[0] = 0.5

@@ -3,7 +3,7 @@
 The CLI opens it with `threads(n)` for the length of one run, n from
 --threads or TANPRIMES_THREADS; everywhere else the width is 1 and
 `map_chunks` is a plain serial map. The layers that use it
-(window.invert_map and weight, circle._exp_sum) hand it chunk functions
+(window.invert_map and weight, circle._exp_sums) hand it chunk functions
 that spend their time in numpy loops, which release the GIL, and that
 each write only their own slice of a preallocated output. The same chunk
 function runs at every width, so no output bit depends on it.

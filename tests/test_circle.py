@@ -221,7 +221,20 @@ def _hex(z):
     return z.real.hex(), z.imag.hex()
 
 
-_BIT_ALPHAS = [-0.5, -0.4375, 0.0, 1 / 3, 0.5, 1.0, 2.5]
+_BIT_ALPHAS = [-0.5, -0.4375, 0.0, -0.0, 1 / 3, 0.5, 1.0, -3.0, 2.5, 2.0 ** 40 + 0.5]
+
+
+def _edge_alphas(freq):
+    # dyadic alphas on both sides of each condition for the roots-of-unity
+    # table: den at and above the largest power of two <= len(freq), and
+    # |num| * max|f| just below and just above 2^53 (den = 2)
+    lo = 1 << (len(freq).bit_length() - 1)
+    f_max = int(np.abs(freq).max())
+    below = (2 ** 53 - 1) // f_max
+    below -= 1 - below % 2
+    above = below + 2
+    return [1 / lo, -3 / lo, 1 / (2 * lo), -5 / (2 * lo),
+            below / 2, -below / 2, above / 2, -above / 2]
 
 
 @pytest.mark.parametrize("k, chunk, width", [
@@ -229,8 +242,9 @@ _BIT_ALPHAS = [-0.5, -0.4375, 0.0, 1 / 3, 0.5, 1.0, 2.5]
     (2, 1, 1), (2, 7, 2), (2, 10 ** 9, 1), (3, 10 ** 9, 2),
 ])
 def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
-    # every kind at every alpha, .hex()-equal to the whole-array np.mod sum,
-    # for any term chunk (one term, seven, past the array) and pool width
+    # every kind at every alpha, dyadic or not, .hex()-equal to the
+    # whole-array np.mod sum, for any term chunk (one term, seven, past the
+    # array) and pool width
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
@@ -243,10 +257,71 @@ def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
             "integer": (np.ones(len(freqs)), freqs)}
     with pool.threads(width):
         for kind, (coeff, freq) in sums.items():
-            want = [_hex(_exp_sum_reference(coeff, freq, a)) for a in _BIT_ALPHAS]
-            got = sum_samples(kind, _BIT_ALPHAS, w, values=table, logs=block.logs)
+            alphas = _BIT_ALPHAS + _edge_alphas(freq)
+            want = [_hex(_exp_sum_reference(coeff, freq, a)) for a in alphas]
+            got = sum_samples(kind, alphas, w, values=table, logs=block.logs)
             assert [_hex(s.value) for s in got] == want, kind
-            assert [_hex(circle._exp_sum(coeff, freq, a)) for a in _BIT_ALPHAS] == want
+            assert [_hex(circle._exp_sum(coeff, freq, a)) for a in alphas] == want
+            # den = len(freq) exactly, and den = 2 len(freq)
+            n = 1 << (len(freq).bit_length() - 1)
+            for a in (1 / n, -3 / n, 1 / (2 * n), 3 / (2 * n)):
+                assert (_hex(circle._exp_sum(coeff[:n], freq[:n], a))
+                        == _hex(_exp_sum_reference(coeff[:n], freq[:n], a)))
+
+
+def test_dyadic_table_selection():
+    # which alphas read the roots-of-unity table: the conditions at their edges
+    freq = np.array([-3, 5, 2 ** 20, 7], dtype=np.int64)
+    bound = circle._freq_bound(freq)
+    assert bound == 2 ** 20
+    assert circle._dyadic(0.25, 4, bound) == (1, 4)
+    assert circle._dyadic(0.125, 4, bound) is None           # den > len(freq)
+    assert circle._dyadic(-0.0, 4, bound) == (0, 1)
+    assert circle._dyadic(1 / 3, 4, bound) is None
+    assert circle._dyadic((2 ** 33 - 1) / 2, 4, bound) == (2 ** 33 - 1, 2)
+    assert circle._dyadic(2.0 ** 33, 4, bound) is None       # |num| max f = 2^53
+    for alpha in (math.nan, math.inf, -math.inf):
+        assert circle._dyadic(alpha, 4, bound) is None
+    assert circle._freq_bound(freq.astype(np.float64)) is None
+    assert circle._freq_bound(np.zeros(0, dtype=np.int64)) == 1
+    # all-zero frequencies still keep num below 2^53
+    assert circle._dyadic(2.0 ** 60, 4, circle._freq_bound(np.zeros(4, dtype=np.int64))) is None
+
+
+def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
+    # nan and +-inf have no integer ratio; they keep the general path and
+    # its (nan+nanj), through sum_samples and the three single-alpha sums
+    bad = [math.nan, math.inf, -math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, as before
+        samples = [
+            *sum_samples("prime", bad, w2, values=table2, logs=block2.logs),
+            *sum_samples("smooth", bad, w2),
+            *sum_samples("integer", bad, w2),
+        ]
+        values = [s.value for s in samples] + [
+            f(a) for a in bad for f in (
+                lambda a: prime_exp_sum(table2, block2.logs, a),
+                lambda a: smooth_exp_sum(w2, a),
+                lambda a: integer_exp_sum(w2, a),
+            )
+        ]
+    assert len(values) == 18
+    assert all(math.isnan(z.real) and math.isnan(z.imag) for z in values)
+
+
+def test_sum_samples_reuse_bits_equal_single_calls(table3, block3, w3, monkeypatch):
+    # one terms array serves every alpha of a sum_samples call: a list of
+    # alphas, mixing both paths, gives the bits of one _exp_sum per alpha
+    from tanprimes import pool
+    from tanprimes.asymptotics import grid_weights
+
+    monkeypatch.setattr(circle, "_TERM_CHUNK", 4096)
+    m, wt = grid_weights(w3)
+    alphas = [0.3, -0.5 + 5 / 16, 1 / 3, 0.0, -0.5 + 1 / 12, 0.5]
+    with pool.threads(2):
+        got = [_hex(s.value) for s in sum_samples("smooth", alphas, w3)]
+    assert got == [_hex(circle._exp_sum(wt, m, a)) for a in alphas]
 
 
 def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
@@ -300,6 +375,40 @@ def test_cached_quadrature_bits_equal_cold(table2, block2, w2):
     assert circle._cubed_sums.cache_info().hits == len(calls) - 2
     for w_val, c_val in zip(warm, cold):
         assert (w_val.real.hex(), w_val.imag.hex()) == (c_val.real.hex(), c_val.imag.hex())
+
+
+def _circle_integrals_reference(values, logs, Ns, interval, M):
+    # circle_integral as it was with np.mod phases, in the same alpha chunks
+    # and trapezoid layout, at each target of Ns
+    a, b = interval
+    f = values.f.astype(np.float64)
+    h = (b - a) / M
+    totals = [0.0 + 0.0j] * len(Ns)
+    starts = range(0, M + 1, circle._ALPHA_CHUNK)
+    for i, start in enumerate(starts):
+        j = np.arange(start, min(start + circle._ALPHA_CHUNK, M + 1), dtype=np.float64)
+        alphas = a + j * h
+        S = np.sum(np.exp(2j * np.pi * np.mod(alphas[:, None] * f[None, :], 1.0)) * logs[None, :], axis=1)
+        coeff = np.ones(len(alphas))
+        if i == 0:
+            coeff[0] = 0.5
+        if i == len(starts) - 1:
+            coeff[-1] = 0.5
+        for t, N in enumerate(Ns):
+            integrand = S ** 3 * np.exp(-2j * np.pi * np.mod(alphas * N, 1.0))
+            totals[t] += complex(np.sum(integrand * coeff))
+    return [total * ((b - a) / M) for total in totals]
+
+
+def test_quadrature_phases_bits_equal_np_mod(table2, block2, w2):
+    # floor phases give the np.mod bits: the crosscheck job's full circle and
+    # major arc at its 24 seed-1 targets
+    M = 3 * int(table2.f.max()) + 1
+    Ns = [w2.n_star + off for off in SEED1_OFFSETS]
+    for interval, grid in (((0.0, 1.0), M), ((-w2.tau, w2.tau), 4096)):
+        want = _circle_integrals_reference(table2, block2.logs, Ns, interval, grid)
+        got = [circle_integral(table2, block2.logs, N, interval, grid) for N in Ns]
+        assert [_hex(z) for z in got] == [_hex(z) for z in want], interval
 
 
 def test_quadrature_cache_keyed_by_log_bits(table2, block2, w2):

@@ -87,6 +87,9 @@ _THREAD_CASES = {
     **{f"values-k{k}": ["values", *sel] for k, sel in ((2, _K2), (3, _K3))},
     **{f"expsum-{kind}-k{k}": ["expsum", *sel, "--kind", kind, "--grid", "16"]
        for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
+    # grid 16 reads every alpha from a roots-of-unity table, grid 12 most not
+    **{f"expsum-{kind}-k{k}-grid12": ["expsum", *sel, "--kind", kind, "--grid", "12"]
+       for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
 }
 
 
