@@ -30,21 +30,6 @@ _GRID_GUARD = 10 ** 7
 # Windows whose k = 3 pair sums are kept; 16 bytes per grid point each.
 _PAIR_SUM_CACHE = 4
 
-# Standard Lanczos coefficients, g = 7, 9 terms. Relative error below
-# 1e-13 on the arguments used here (all in (0.5, 4]).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class CompareRow:
@@ -61,33 +46,22 @@ def main_term(w: WindowParams) -> float:
     return w.delta2 ** (1.0 - w.c) * w.x * w.x / denom
 
 
-def _lanczos_gamma(x: float) -> float:
-    if x <= 0.5:
-        raise InvalidParameter(f"gamma approximation implemented for x > 1/2, got {x}")
-    a = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        a += _LANCZOS_COEF[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * a
-
-
 def classical_main_term(c: float, N: int) -> float:
     """Predicted weighted count for the plain power variant [p^c].
 
-    gamma(1+1/c)^3 / gamma(3/c) * N^(3/c - 1), with the gamma function
-    evaluated by the recorded Lanczos coefficients. c = 1 is allowed as a
-    numerical boundary (value N^2/2 exactly in the limit).
+    gamma(1+1/c)^3 / gamma(3/c) * N^(3/c - 1), with math.gamma. c = 1 is
+    allowed as a numerical boundary (value N^2/2 exactly in the limit).
     """
-    if c < 1.0:
-        raise InvalidParameter(f"need c >= 1, got {c}")
-    g1 = _lanczos_gamma(1.0 + 1.0 / c)
-    g3 = _lanczos_gamma(3.0 / c)
-    return g1 ** 3 / g3 * float(N) ** (3.0 / c - 1.0)
+    if not 1.0 <= c < math.inf:
+        raise InvalidParameter(f"need finite c >= 1, got {c}")
+    if N < 0:
+        raise InvalidParameter(f"target must be nonnegative, got {N}")
+    return math.gamma(1.0 + 1.0 / c) ** 3 / math.gamma(3.0 / c) * float(N) ** (3.0 / c - 1.0)
 
 
 @functools.lru_cache(maxsize=8)
 def grid_weights(w: WindowParams) -> tuple[np.ndarray, np.ndarray]:
-    """Integer target grid (n1, n_star] with smooth weights. Treat as read-only."""
+    """Integer target grid (n1, n_star] with smooth weights, both read-only."""
     m_lo = math.floor(w.n1) + 1
     size = w.n_star - m_lo + 1
     if size <= 0:
@@ -96,6 +70,7 @@ def grid_weights(w: WindowParams) -> tuple[np.ndarray, np.ndarray]:
         raise BandTooWide(f"target grid has {size} points, guard is {_GRID_GUARD}")
     m = np.arange(m_lo, w.n_star + 1, dtype=np.int64)
     wt = weight(m.astype(np.float64), w)
+    m.flags.writeable = wt.flags.writeable = False  # shared by every caller
     return m, wt
 
 

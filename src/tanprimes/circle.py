@@ -158,7 +158,9 @@ def smooth_exp_sum(w: WindowParams, alpha: float) -> complex:
 def _integer_freqs(w: WindowParams) -> np.ndarray:
     lo = math.floor(w.delta1) + 1
     hi = math.floor(w.delta2)
-    return value_table(np.arange(lo, hi + 1), w.c, w.theta).f
+    f = value_table(np.arange(lo, hi + 1), w.c, w.theta).f
+    f.flags.writeable = False  # shared by every caller
+    return f
 
 
 def integer_exp_sum(w: WindowParams, alpha: float) -> complex:

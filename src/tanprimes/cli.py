@@ -114,9 +114,9 @@ def _window(a) -> tuple[WindowParams, float | None]:
     return solve_for_target(a.N, a.c, a.theta, a.epsilon)
 
 
-def _table(w: WindowParams, threads: int):
+def _table(w: WindowParams):
     """Certified value table and log weights of the window's primes."""
-    block = sieve_segment(w.delta1, w.delta2, threads=threads)
+    block = sieve_segment(w.delta1, w.delta2)
     return value_table(block.primes, w.c, w.theta), block.logs
 
 
@@ -124,7 +124,7 @@ def _pair_table(a):
     """_window and _table, refused before sieving if the pair map would be."""
     w, _ = _window(a)
     repcount.check_pair_span(repcount.pair_span_bound(w))
-    return (w, *_table(w, a.threads))
+    return (w, *_table(w))
 
 
 def _cmd_window(a):
@@ -169,13 +169,13 @@ def _cmd_compare(a):
 def _cmd_binary(a):
     w, _ = _window(a)
     N = w.n_star + a.offset
-    pair = repcount.find_binary(_table(w, a.threads)[0], N)
+    pair = repcount.find_binary(_table(w)[0], N)
     return lambda: {"N": N, "pair": list(pair) if pair is not None else None}, None
 
 
 def _cmd_values(a):
     w, _ = _window(a)
-    values, _logs = _table(w, a.threads)
+    values, _logs = _table(w)
     cols = (values.n, values.f, values.frac, values.certified)
     return (lambda: {"rows": [{"n": n, "f": f, "frac": x, "certified": b}
                               for n, f, x, b in zip(*(col.tolist() for col in cols))],
@@ -198,7 +198,7 @@ def _cmd_expsum(a):
     w, _ = _window(a)
     if a.grid < 1:
         raise UsageError("--grid must be a positive integer")
-    values, logs = _table(w, a.threads) if a.kind == "prime" else (None, None)
+    values, logs = _table(w) if a.kind == "prime" else (None, None)
     alphas = [-0.5 + j / a.grid for j in range(a.grid)]
     samples = circle.sum_samples(a.kind, alphas, w, values, logs)
 
@@ -234,7 +234,7 @@ def _selftest() -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         w = window_from_index(2, 1.05, 2.0)
-    values, logs = _table(w, 1)  # one k=2 window and table for every check
+    values, logs = _table(w)  # one k=2 window and table for every check
 
     def mitm_vs_naive():
         for N in (w.n_star, w.n_star - 7, w.n_star + 13, 3 * int(values.f.min()) + 5):

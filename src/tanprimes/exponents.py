@@ -79,7 +79,7 @@ def minor_arc_exponent(c) -> Fraction:
     c = Fraction(c)
     if not Fraction(1) <= c < Fraction(2):
         raise InvalidParameter(f"minor-arc exponent defined for 1 <= c < 2, got {c}")
-    return (11 + 3 * c) / 15
+    return _MINOR.at(c)
 
 
 _MINOR = LinearExponent(Fraction(11, 15), Fraction(3, 15))

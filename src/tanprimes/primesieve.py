@@ -53,7 +53,7 @@ def sieve_segment(a: float, b: float, threads: int = 1) -> PrimeBlock:
 
     Real bounds are accepted because window endpoints are irrational.
     Segments are sieved in ascending order, in one thread. threads is
-    accepted for callers that pass the run's thread count and has no
+    accepted, for the benchmark replay that still passes it, and has no
     effect: the sieve is a small share of any run, and the pool lives in
     the per-point layers (see tanprimes.pool).
     """

@@ -301,8 +301,10 @@ def _classical_floor(p: int, c: float) -> int:
 
 def count_classical(c: float, N: int) -> RepReport:
     """Ordered-triple count for N = [p1^c]+[p2^c]+[p3^c], primes 2..N^(1/c)."""
-    if c <= 1.0:
-        raise InvalidParameter(f"classical variant needs c > 1, got {c}")
+    if not 1.0 < c < math.inf:
+        raise InvalidParameter(f"classical variant needs finite c > 1, got {c}")
+    if N < 0:
+        raise InvalidParameter(f"target must be nonnegative, got {N}")
     if N > _CLASSICAL_GUARD:
         raise TooLarge(f"N={N} exceeds the classical guard {_CLASSICAL_GUARD}")
     if N < 6:

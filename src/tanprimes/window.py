@@ -15,9 +15,9 @@ follows its own trajectory, so the bits depend on neither.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -43,7 +43,7 @@ _UPPER_SLACK = 0.5
 _NEWTON_CHUNK = 2 ** 15  # targets per Newton solve in invert_map
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class WindowParams:
     """One admissible window and its derived constants.
 
@@ -155,12 +155,7 @@ def solve_for_target(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
         base = window_from_index(k_near, c, theta, epsilon)
-    w = WindowParams(
-        c=base.c, theta=base.theta, epsilon=base.epsilon, k=base.k,
-        delta1=base.delta1, delta2=base.delta2, x=base.x, n1=base.n1,
-        n_star=int(N), tau=base.tau,
-    )
-    return w, residual
+    return dataclasses.replace(base, n_star=int(N)), residual
 
 
 def _t_raw(y, c: float, theta: float):
@@ -192,10 +187,10 @@ def image_interval(w: WindowParams) -> tuple[float, float]:
 
 def _newton(ta, w: WindowParams, t1: float, t2: float):
     # Bracketed Newton for one chunk of targets, iterating only on the
-    # points still moving: a point leaves the active arrays (its y written
-    # back) once its residual is within tol or a step no longer changes it.
-    # Each point follows its own trajectory, so neither the chunking nor the
-    # dropping of other points changes its bits.
+    # points still moving: a point retires (its y written back) once its
+    # residual is within tol (or NaN) or a step no longer changes it.
+    # Each point follows its own trajectory, so neither the chunking nor
+    # the retiring of other points changes its bits.
     c, theta = w.c, w.theta
     lo = np.full_like(ta, w.delta1 * (1.0 - 1e-12))
     hi = np.full_like(ta, w.delta2 + 1.0)
@@ -209,11 +204,6 @@ def _newton(ta, w: WindowParams, t1: float, t2: float):
             break
         tn = np.tan(np.log(ya))
         r = ya ** c * tn ** theta - ta  # _t_raw(ya) - ta
-        moving = np.abs(r) > tol
-        if not moving.all():
-            y[idx[~moving]] = ya[~moving]
-            idx, ya, ta, tol, lo, hi, r, tn = (
-                v[moving] for v in (idx, ya, ta, tol, lo, hi, r, tn))
         lo = np.where(r < 0.0, np.maximum(lo, ya), lo)
         hi = np.where(r > 0.0, np.minimum(hi, ya), hi)
         # dt/dy = y^(c-1) tan^(theta-1)(log y) (c tan(log y) + theta sec^2(log y))
@@ -221,8 +211,9 @@ def _newton(ta, w: WindowParams, t1: float, t2: float):
         y_new = ya - r / deriv
         fallback = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
         y_new = np.where(fallback, 0.5 * (lo + hi), y_new)
-        moving = y_new != ya  # else no further progress at this precision
-        y[idx[~moving]] = ya[~moving]
+        done = ~(np.abs(r) > tol) | (y_new == ya)
+        y[idx[done]] = ya[done]
+        moving = ~done
         idx, ya, ta, tol, lo, hi = (v[moving] for v in (idx, y_new, ta, tol, lo, hi))
     y[idx] = ya
 

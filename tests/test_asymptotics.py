@@ -1,4 +1,4 @@
-"""Main terms, the gamma helper, and exact weight convolutions."""
+"""Main terms and exact weight convolutions."""
 
 import math
 import random
@@ -18,7 +18,6 @@ from tanprimes import (
     weight_convolution,
 )
 from tanprimes.asymptotics import (
-    _lanczos_gamma,
     band_stats,
     compare_report,
     compare_to_csv,
@@ -83,22 +82,19 @@ def test_classical_main_term_fixture():
         classical_main_term(0.99, 2000)
 
 
-def test_lanczos_against_math_gamma():
-    xs = np.linspace(1.0, 4.0, 997)
-    worst = max(abs(_lanczos_gamma(float(x)) - math.gamma(float(x))) / math.gamma(float(x)) for x in xs)
-    assert worst < 1e-12
-    with pytest.raises(InvalidParameter):
-        _lanczos_gamma(0.3)
-
-
 def test_grid_weights_layout(w2):
     m, wt = grid_weights(w2)
     assert m[0] == math.floor(w2.n1) + 1
     assert m[-1] == w2.n_star
     assert len(m) == len(wt)
     assert np.all(wt > 0)
-    # cached: same object back
+    # cached: same object back, read-only so that no caller's write leaks
+    # into every later sum and convolution
     assert grid_weights(w2) is grid_weights(w2)
+    with pytest.raises(ValueError):
+        wt *= 2.0
+    with pytest.raises(ValueError):
+        m[0] = 0
 
 
 def test_grid_guard():

@@ -34,6 +34,13 @@ def _cold_integral(*args):
     return circle_integral(*args)
 
 
+def test_integer_freqs_read_only(w2):
+    freqs = circle._integer_freqs(w2)
+    with pytest.raises(ValueError):
+        freqs[0] = 0
+    assert circle._integer_freqs(w2) is freqs
+
+
 def test_prime_sum_origin_and_period(table2, block2):
     s0 = prime_exp_sum(table2, block2.logs, 0.0)
     assert s0.imag == 0.0

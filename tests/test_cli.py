@@ -185,6 +185,32 @@ def test_classical_row(capsys):
     assert float(cells[4]) == pytest.approx(0.8554635161, abs=1e-9)
 
 
+@pytest.mark.parametrize("c, target", [("nan", "2000"), ("inf", "2000"), ("1.02", "-5")])
+def test_classical_bad_input_exit(capsys, c, target):
+    code, out, err = run(capsys, "classical", "--c", c, "--target", target)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_classical_zero_target(capsys):
+    code, out, _ = run(capsys, "classical", "--c", "1.02", "--target", "0")
+    assert code == 0
+    assert out == "N,count,weighted,main_term,ratio\n0,0,0,0,0\n"
+
+
+def test_classical_main_term_small_gamma_argument(capsys):
+    # 3/c = 0.46 here: the main term needs gamma below 1/2
+    import mpmath as mp
+
+    code, out, _ = run(capsys, "classical", "--c", "6.5", "--target", "2000", "--format", "json")
+    assert code == 0
+    with mp.workdps(40):
+        c, N = mp.mpf(6.5), mp.mpf(2000)
+        expect = float(mp.gamma(1 + 1 / c) ** 3 / mp.gamma(3 / c) * N ** (3 / c - 1))
+    assert json.loads(out)["main_term"] == pytest.approx(expect, rel=1e-13)
+
+
 def test_expsum_integer_grid(capsys):
     code, out, _ = run(
         capsys, "expsum", "--k", "2", "--c", "1.05", "--theta", "2.0",
