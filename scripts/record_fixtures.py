@@ -137,9 +137,7 @@ def band_and_classical():
         scan = scan_band(vt, blk.logs, w.n_star - 100, w.n_star + 100, w=w)
         stats = band_stats(scan, compare_report(scan, w))
         si = singular_integral(w, w.n_star - 100, w.n_star + 100)
-        stats["mean_ratio_singular"] = statistics.mean(
-            rep.weighted / float(s) for rep, s in zip(scan, si)
-        )
+        stats["mean_ratio_singular"] = statistics.mean((scan.weighted / si).tolist())
         rec["k%d" % k] = stats
         print("k=%d" % k, stats)
 

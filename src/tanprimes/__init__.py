@@ -1,7 +1,7 @@
 """Desk-scale experiments on ternary sums of floor(p^c tan^theta(log p))."""
 
 from .asymptotics import (
-    CompareRow,
+    BandComparison,
     band_stats,
     classical_main_term,
     compare_report,
@@ -29,6 +29,7 @@ from .exponents import (
 )
 from .primesieve import PrimeBlock, sieve_segment
 from .repcount import (
+    BandScan,
     PairMap,
     RepReport,
     build_pair_map,

@@ -1,4 +1,4 @@
-"""Main terms, exact smooth convolutions, and observed-vs-predicted reports.
+"""Main terms, exact smooth convolutions, and band scans against the main term.
 
 The predicted density for targets near the top of a window is
 delta2^(1-c) * X^2 / (2^theta c + 5 theta 2^(theta-1)) with X = delta2;
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandTooWide, InvalidParameter
-from .repcount import RepReport, self_convolution
+from .repcount import BandScan, self_convolution
 from .window import WindowParams, weight
 
 _GRID_GUARD = 10 ** 7
@@ -32,12 +32,11 @@ _PAIR_SUM_CACHE = 4
 
 
 @dataclass(frozen=True)
-class CompareRow:
-    target: int
-    observed: float      # weighted count from repcount
+class BandComparison:
+    """A band scan against the main term: ratio[i] = scan.weighted[i] / main_term."""
+
     main_term: float
-    ratio: float
-    window: WindowParams
+    ratio: np.ndarray    # float64, one entry per target of the scan
 
 
 def main_term(w: WindowParams) -> float:
@@ -181,33 +180,20 @@ def singular_integral(w: WindowParams, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def compare_report(scan: list[RepReport], w: WindowParams) -> list[CompareRow]:
-    """Observed weighted counts against the window main term, one row per N."""
-    if not scan:
+def compare_report(scan: BandScan, w: WindowParams) -> BandComparison:
+    """Observed weighted counts against the window main term, as one ratio column."""
+    if not len(scan):
         raise InvalidParameter("compare_report needs a nonempty scan")
     mt = main_term(w)
-    rows = []
-    for rep in scan:
-        ratio = rep.weighted / mt if mt > 0 else 0.0
-        rows.append(CompareRow(rep.target, rep.weighted, mt, ratio, w))
-    return rows
+    return BandComparison(mt, scan.weighted / mt if mt > 0 else np.zeros(len(scan)))
 
 
-def band_stats(scan: list[RepReport], rows: list[CompareRow]) -> dict:
-    """Band summary: positivity rate plus mean/median observed-to-predicted ratio."""
-    ratios = [r.ratio for r in rows]
+def band_stats(scan: BandScan, cmp: BandComparison) -> dict:
+    """Band summary: positive rate and mean/median ratio (the mean exact, rounded once)."""
+    ratios = cmp.ratio.tolist()
     return {
-        "n": len(rows),
-        "positive_rate": sum(1 for rep in scan if rep.count > 0) / len(scan),
+        "n": len(ratios),
+        "positive_rate": int(np.count_nonzero(scan.count > 0)) / len(scan),
         "mean_ratio": statistics.mean(ratios),
         "median_ratio": statistics.median(ratios),
     }
-
-
-def compare_to_csv(scan: list[RepReport], rows: list[CompareRow], fh) -> None:
-    fh.write("N,count,weighted,main_term,ratio\n")
-    for rep, row in zip(scan, rows):
-        fh.write(
-            f"{row.target},{rep.count},{row.observed:.12g},"
-            f"{row.main_term:.12g},{row.ratio:.12g}\n"
-        )

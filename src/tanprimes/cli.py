@@ -8,7 +8,8 @@ on it, and the width is back to 1 when main returns.
 
 Each subcommand runs on the argparse namespace and returns two callables,
 one building its JSON object and one writing its CSV text (None where only
-JSON exists); main calls only the one the --format asks for.
+JSON exists), both from the same named columns when the output is a table;
+main calls only the one the --format asks for.
 """
 from __future__ import annotations
 
@@ -22,10 +23,12 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
 from . import asymptotics, circle, exponents, pool, repcount
 from .errors import TanprimesError, UsageError
 from .primesieve import sieve_segment
-from .seqeval import table_to_csv, value_table
+from .seqeval import table_to_csv, value_table, write_csv
 from .window import WindowParams, solve_for_target, weight, window_from_index
 
 
@@ -120,50 +123,60 @@ def _table(w: WindowParams):
     return value_table(block.primes, w.c, w.theta), block.logs
 
 
-def _pair_table(a):
-    """_window and _table, refused before sieving if the pair map would be."""
-    w, _ = _window(a)
-    repcount.check_pair_span(repcount.pair_span_bound(w))
-    return (w, *_table(w))
-
-
 def _cmd_window(a):
     w, residual = _window(a)
     extra = {} if residual is None else {"solve_residual": residual}
     return lambda: {**dataclasses.asdict(w), **extra}, None
 
 
-def _cmd_count(a):
-    w, values, logs = _pair_table(a)
-    rep = repcount.count_ternary_mitm(values, logs, w.n_star + a.offset, w=w)
-    return (lambda: {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
-                     "method": rep.method, "window": dataclasses.asdict(w)},
-            lambda fh: repcount.scan_to_csv([rep], fh))
+_SCAN_FMT = "%d,%d,%.12g\n"                 # N,count,weighted
+_COMPARE_FMT = "%d,%d,%.12g,%.12g,%.12g\n"   # ... then main_term,ratio
 
 
-def _band_reports(a):
-    w, values, logs = _pair_table(a)
-    lo, hi = a.band
+def _rows(cols: dict) -> list[dict]:
+    return [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
+
+
+def _columns_out(cols: dict, fmt: str, **extra):
+    """JSON {"rows": ..., **extra} and the CSV of the same columns."""
+    return lambda: {"rows": _rows(cols), **extra}, lambda fh: write_csv(cols, fmt, fh)
+
+
+def _row_out(cols: dict, fmt: str, **extra):
+    """A one-row table: its JSON holds the row's fields and extra at the top level."""
+    return lambda: {**_rows(cols)[0], **extra}, lambda fh: write_csv(cols, fmt, fh)
+
+
+def _scan_columns(scan: repcount.BandScan) -> dict:
+    return {"N": scan.N, "count": scan.count, "weighted": scan.weighted}
+
+
+def _band_scan(a, lo: int, hi: int):
+    """Scan of n_star + [lo, hi], refused before sieving if the pair map would be."""
+    w, _ = _window(a)
+    repcount.check_pair_span(repcount.pair_span_bound(w))
+    values, logs = _table(w)
     return w, repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
 
 
+def _cmd_count(a):
+    w, scan = _band_scan(a, a.offset, a.offset)
+    return _row_out(_scan_columns(scan), _SCAN_FMT, method=scan.report(0).method,
+                    window=dataclasses.asdict(w))
+
+
 def _cmd_scan(a):
-    w, reports = _band_reports(a)
-    return (lambda: {"rows": [{"N": r.target, "count": r.count, "weighted": r.weighted}
-                              for r in reports],
-                     "window": dataclasses.asdict(w)},
-            lambda fh: repcount.scan_to_csv(reports, fh))
+    w, scan = _band_scan(a, *a.band)
+    return _columns_out(_scan_columns(scan), _SCAN_FMT, window=dataclasses.asdict(w))
 
 
 def _cmd_compare(a):
-    w, reports = _band_reports(a)
-    rows = asymptotics.compare_report(reports, w)
-    stats = asymptotics.band_stats(reports, rows)
-    return (lambda: {"rows": [{"N": r.target, "count": rep.count, "weighted": r.observed,
-                               "main_term": r.main_term, "ratio": r.ratio}
-                              for rep, r in zip(reports, rows)],
-                     "stats": stats, "window": dataclasses.asdict(w)},
-            lambda fh: asymptotics.compare_to_csv(reports, rows, fh))
+    w, scan = _band_scan(a, *a.band)
+    cmp = asymptotics.compare_report(scan, w)
+    cols = {**_scan_columns(scan), "main_term": np.full(len(scan), cmp.main_term),
+            "ratio": cmp.ratio}
+    return _columns_out(cols, _COMPARE_FMT, stats=asymptotics.band_stats(scan, cmp),
+                        window=dataclasses.asdict(w))
 
 
 def _cmd_binary(a):
@@ -176,22 +189,17 @@ def _cmd_binary(a):
 def _cmd_values(a):
     w, _ = _window(a)
     values, _logs = _table(w)
-    cols = (values.n, values.f, values.frac, values.certified)
-    return (lambda: {"rows": [{"n": n, "f": f, "frac": x, "certified": b}
-                              for n, f, x, b in zip(*(col.tolist() for col in cols))],
-                     "window": dataclasses.asdict(w)},
+    cols = {"n": values.n, "f": values.f, "frac": values.frac, "certified": values.certified}
+    return (lambda: {"rows": _rows(cols), "window": dataclasses.asdict(w)},
             lambda fh: table_to_csv(values, fh))
 
 
 def _cmd_classical(a):
     rep = repcount.count_classical(a.c, a.target)
     mt = asymptotics.classical_main_term(a.c, a.target)
-    ratio = rep.weighted / mt if mt > 0 else 0.0
-    return (lambda: {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
-                     "main_term": mt, "ratio": ratio},
-            lambda fh: fh.write("N,count,weighted,main_term,ratio\n"
-                                f"{rep.target},{rep.count},{rep.weighted:.12g},"
-                                f"{mt:.12g},{ratio:.12g}\n"))
+    row = {"N": rep.target, "count": rep.count, "weighted": rep.weighted,
+           "main_term": mt, "ratio": rep.weighted / mt if mt > 0 else 0.0}
+    return _row_out({name: np.array([v]) for name, v in row.items()}, _COMPARE_FMT)
 
 
 def _cmd_expsum(a):
@@ -200,26 +208,18 @@ def _cmd_expsum(a):
         raise UsageError("--grid must be a positive integer")
     values, logs = _table(w) if a.kind == "prime" else (None, None)
     alphas = [-0.5 + j / a.grid for j in range(a.grid)]
-    samples = circle.sum_samples(a.kind, alphas, w, values, logs)
-
-    def write_csv(fh):
-        fh.write("alpha,re,im,abs\n")
-        for s in samples:
-            z = s.value
-            fh.write(f"{s.alpha:.12g},{z.real:.12g},{z.imag:.12g},{abs(z):.12g}\n")
-
-    return (lambda: {"kind": a.kind,
-                     "rows": [{"alpha": s.alpha, "re": s.value.real, "im": s.value.imag,
-                               "abs": abs(s.value)} for s in samples],
-                     "window": dataclasses.asdict(w)},
-            write_csv)
+    z = [s.value for s in circle.sum_samples(a.kind, alphas, w, values, logs)]
+    cols = {"alpha": np.array(alphas), "re": np.array([v.real for v in z]),
+            "im": np.array([v.imag for v in z]), "abs": np.array([abs(v) for v in z])}
+    return _columns_out(cols, "%.12g,%.12g,%.12g,%.12g\n", kind=a.kind,
+                        window=dataclasses.asdict(w))
 
 
 def _cmd_exponents(a):
     table = exponents.chain_table()
     ordered = sorted(exponents.PRIOR_BOUNDS)
 
-    def write_csv(fh):
+    def to_csv(fh):
         fh.write("step,exponent,at_boundary,note\n")
         for row in table:
             fh.write(f"{row['step']},{row['exponent']},{row['at_boundary']},\"{row['note']}\"\n")
@@ -227,7 +227,7 @@ def _cmd_exponents(a):
 
     return (lambda: {"chain": table, "admissible_c": str(exponents.admissible_c()),
                      "prior_bounds_sorted": [str(b) for b in ordered]},
-            write_csv)
+            to_csv)
 
 
 def _selftest() -> int:
@@ -315,12 +315,12 @@ def main(argv=None) -> int:
             if a.command == "selftest":
                 return _selftest()
             _check_out(a.out_path)
-            to_json, write_csv = a.run(a)
+            to_json, to_csv = a.run(a)
             with _open_out(a.out_path) as fh:
-                if write_csv is None or a.out_format == "json":
+                if to_csv is None or a.out_format == "json":
                     fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
                 else:
-                    write_csv(fh)
+                    to_csv(fh)
         return 0
     except TanprimesError as exc:
         prefix = {2: "usage error", 4: "resource guard"}.get(exc.exit_code, "error")

@@ -11,7 +11,8 @@ The weighted sum over p_3 of each target is exact until one final rounding:
 every product is cut without error into integer slices of at most 26 bits,
 each slice is summed exactly in float64 (a target has at most 2^25 terms),
 and the slices join as Python ints. The result is the correctly rounded
-sum, the same bits as math.fsum, whatever the order or the chunking.
+sum, the same bits as math.fsum, whatever the order or the chunking. A
+band comes back as one BandScan of columns; report(i) is one target's row.
 """
 from __future__ import annotations
 
@@ -42,6 +43,23 @@ class RepReport:
     weighted: float
     method: str                       # "mitm" or "naive"
     window: Optional[WindowParams] = None
+
+
+@dataclass(frozen=True)
+class BandScan:
+    """Columnar counts of consecutive targets: row i is target N[i]."""
+
+    N: np.ndarray          # int64
+    count: np.ndarray      # int64
+    weighted: np.ndarray   # float64
+    window: Optional[WindowParams] = None
+
+    def __len__(self) -> int:
+        return len(self.N)
+
+    def report(self, i: int) -> RepReport:
+        return RepReport(int(self.N[i]), int(self.count[i]), float(self.weighted[i]),
+                         "mitm", self.window)
 
 
 @dataclass(frozen=True)
@@ -169,30 +187,23 @@ def _exact_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (totals * (1 << max(lo, 0)) / (1 << max(-lo, 0))).astype(np.float64)
 
 
-def _meet(
-    f: np.ndarray,
-    logs: np.ndarray,
-    N_lo: int,
-    N_hi: int,
-    pm: Optional[PairMap],
-    w: Optional[WindowParams],
-) -> list[RepReport]:
-    """Meet every N in [N_lo, N_hi] with the pair table, one slice of p_3 each.
+def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
+          pm: Optional[PairMap]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and weighted sums of the consecutive targets Ns, one slice of p_3 each.
 
     Without pm the table stops at the largest pair sum the band reads,
-    N_hi - min f, and none is built when no triple reaches the band. Sorting
+    max Ns - min f, and none is built when no triple reaches the band. Sorting
     by f makes the p_3 with N - f in the table a slice. The slices are
     gathered for whole targets at a time, about _MEET_CHUNK products, and
     each target's products are summed exactly by _exact_sums.
     """
-    Ns = np.arange(N_lo, N_hi + 1, dtype=np.int64)
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))
-    if len(f) and N_hi >= 3 * int(f.min()) and N_lo <= 3 * int(f.max()):
+    if len(f) and Ns[-1] >= 3 * int(f.min()) and Ns[0] <= 3 * int(f.max()):
         order = np.argsort(f, kind="stable")
         f, logs = f[order], logs[order]
         if pm is None:
-            pm = _pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+            pm = _pair_map_from_arrays(f, logs, int(Ns[-1]) - 3 * int(f[0]) + 1)
         starts = np.searchsorted(f, Ns - pm.s_max, side="left")
         lens = np.searchsorted(f, Ns - pm.s_min, side="right") - starts
         ends = np.cumsum(lens)
@@ -208,8 +219,7 @@ def _meet(
                 counts[t:e][hit] = np.add.reduceat(pm.counts[idx], off[hit])
                 weighted[t:e][hit] = _exact_sums(logs[i] * pm.weights[idx], off[hit])
             t = e
-    return [RepReport(N, c, x, "mitm", w)
-            for N, c, x in zip(range(N_lo, N_hi + 1), counts.tolist(), weighted.tolist())]
+    return counts, weighted
 
 
 def count_ternary_mitm(
@@ -220,7 +230,7 @@ def count_ternary_mitm(
     w: Optional[WindowParams] = None,
 ) -> RepReport:
     """Weighted and unweighted ordered-triple counts for one target."""
-    return scan_band(values, logs, N, N, pair_map, w)[0]
+    return scan_band(values, logs, N, N, pair_map, w).report(0)
 
 
 def count_ternary_naive(
@@ -258,8 +268,8 @@ def scan_band(
     N_hi: int,
     pair_map: Optional[PairMap] = None,
     w: Optional[WindowParams] = None,
-) -> list[RepReport]:
-    """count_ternary_mitm for every N in [N_lo, N_hi].
+) -> BandScan:
+    """count_ternary_mitm for every N in [N_lo, N_hi], as columns.
 
     Without pair_map, builds one pair table holding only the sums up to
     N_hi - min f, and none when no triple reaches the band.
@@ -270,7 +280,8 @@ def scan_band(
         raise InvalidParameter(f"band bounds inverted: {N_lo} > {N_hi}")
     if N_hi - N_lo + 1 > _BAND_GUARD:
         raise BandTooWide(f"band width {N_hi - N_lo + 1} exceeds {_BAND_GUARD}")
-    return _meet(values.f, np.asarray(logs, dtype=np.float64), N_lo, N_hi, pair_map, w)
+    Ns = np.arange(N_lo, N_hi + 1, dtype=np.int64)
+    return BandScan(Ns, *_meet(values.f, np.asarray(logs, dtype=np.float64), Ns, pair_map), w)
 
 
 def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:
@@ -307,18 +318,12 @@ def count_classical(c: float, N: int) -> RepReport:
         raise InvalidParameter(f"target must be nonnegative, got {N}")
     if N > _CLASSICAL_GUARD:
         raise TooLarge(f"N={N} exceeds the classical guard {_CLASSICAL_GUARD}")
-    if N < 6:
-        return RepReport(int(N), 0, 0.0, "mitm", None)
     bmax = int(N ** (1.0 / c)) + 2  # slack is harmless: extra primes never match
     block = sieve_segment(1, bmax)
-    f = np.array([_classical_floor(int(p), c) for p in block.primes], dtype=np.int64)
+    # p^c >= N + 1 when log p >= log(N + 1) / c; such primes go unfloored (2^c
+    # can overflow), the margin covering the rounding. f <= N judges the rest.
+    small = block.logs < math.log1p(N) * (1.0 + 1e-12) / c
+    f = np.array([_classical_floor(p, c) for p in block.primes[small].tolist()], dtype=np.int64)
     keep = f <= N
-    f = f[keep]
-    logs = block.logs[keep]
-    return _meet(f, logs, int(N), int(N), None, None)[0]
-
-
-def scan_to_csv(reports: list[RepReport], fh) -> None:
-    fh.write("N,count,weighted\n")
-    for rep in reports:
-        fh.write(f"{rep.target},{rep.count},{rep.weighted:.12g}\n")
+    Ns = np.array([N], dtype=np.int64)
+    return BandScan(Ns, *_meet(f[keep], block.logs[small][keep], Ns, None)).report(0)

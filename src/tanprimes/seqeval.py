@@ -7,7 +7,8 @@ then is reported as AmbiguousFloor, never silently rounded.
 
 The double value is always computed with scalar math calls (libm), also
 in value_table, which vectorises only the floor, the fractional part and
-the guard test; the table and its CSV are built in chunks of rows.
+the guard test. The table, and the CSV that write_csv makes of any named
+columns (value tables, band scans, exponential sums), go in chunks of rows.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import AmbiguousFloor, DomainError
 GUARD_ABS = 1e-6          # escalate when this close to an integer
 AMBIGUOUS_ABS = 2.0 ** -40
 _ESCALATED_PREC = 160     # bits; comfortably past the required 128
-_ROW_CHUNK = 2 ** 12      # rows per chunk in value_table and table_to_csv
+_ROW_CHUNK = 2 ** 12      # rows per chunk in value_table and write_csv
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,15 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
+def write_csv(cols: dict, fmt: str, fh) -> None:
+    """Header of the names of cols (equal-length arrays), then fmt % row, a chunk at a time."""
+    fh.write(",".join(cols) + "\n")
+    for start in range(0, len(next(iter(cols.values()))), _ROW_CHUNK):
+        chunk = [col[start:start + _ROW_CHUNK].tolist() for col in cols.values()]
+        fh.write("".join([fmt % row for row in zip(*chunk)]))
+
+
 def table_to_csv(table: ValueTable, fh) -> None:
     """Write the pinned CSV layout: n,f,frac,certified (frac to 12 digits)."""
-    fh.write("n,f,frac,certified\n")
-    for start in range(0, len(table), _ROW_CHUNK):
-        cols = (col[start:start + _ROW_CHUNK].tolist()
-                for col in (table.n, table.f, table.frac, table.certified))
-        fh.write("".join(["%d,%d,%.12f,%d\n" % row for row in zip(*cols)]))
+    write_csv({"n": table.n, "f": table.f, "frac": table.frac, "certified": table.certified},
+              "%d,%d,%.12f,%d\n", fh)

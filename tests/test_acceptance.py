@@ -206,9 +206,8 @@ def test_07_convolution_orthogonality(w2, w3):
 
 def singular_mean(scan, w):
     """Band mean of weighted / singular_integral over a scan of consecutive targets."""
-    lo = scan[0].target
-    si = singular_integral(w, lo, scan[-1].target)
-    return statistics.mean(rep.weighted / float(si[rep.target - lo]) for rep in scan)
+    si = singular_integral(w, int(scan.N[0]), int(scan.N[-1]))
+    return statistics.mean((scan.weighted / si).tolist())
 
 
 def test_08_desk_band_trend(table3, block3, pairmap3, w3):

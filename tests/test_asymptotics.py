@@ -1,7 +1,10 @@
 """Main terms and exact weight convolutions."""
 
+import dataclasses
+import json
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -18,13 +21,14 @@ from tanprimes import (
     weight_convolution,
 )
 from tanprimes.asymptotics import (
+    BandComparison,
     band_stats,
     compare_report,
-    compare_to_csv,
     grid_weights,
 )
+from tanprimes.cli import main
 from tanprimes.errors import BandTooWide, InvalidParameter
-from tanprimes.repcount import scan_band
+from tanprimes.repcount import BandScan, scan_band
 from tanprimes.window import image_interval
 
 
@@ -208,15 +212,15 @@ def test_singular_integral_zero_when_unreachable(w2):
 
 def test_compare_report_rows(table2, block2, pairmap2, w2):
     scan = scan_band(table2, block2.logs, w2.n_star - 3, w2.n_star + 3, pair_map=pairmap2, w=w2)
-    rows = compare_report(scan, w2)
+    cmp = compare_report(scan, w2)
     mt = main_term(w2)
-    assert len(rows) == len(scan)
-    for rep, row in zip(scan, rows):
-        assert row.target == rep.target
-        assert row.main_term == mt
-        assert row.ratio == rep.weighted / mt
+    assert len(cmp.ratio) == len(scan)
+    assert cmp.main_term == mt
+    for weighted, ratio in zip(scan.weighted.tolist(), cmp.ratio.tolist()):
+        assert ratio == weighted / mt
+    empty = BandScan(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), w2)
     with pytest.raises(InvalidParameter):
-        compare_report([], w2)
+        compare_report(empty, w2)
 
 
 def test_band_stats_fields(table2, block2, pairmap2, w2):
@@ -228,12 +232,50 @@ def test_band_stats_fields(table2, block2, pairmap2, w2):
     assert set(st_) == {"n", "positive_rate", "mean_ratio", "median_ratio"}
 
 
+def test_band_stats_mean_rounds_once(w2):
+    # the exact mean rounded once: math.fsum(r) / n rounds twice, one ulp off here
+    ratio = np.array([float.fromhex(h) for h in (
+        "0x1.1a8c8a6233255p+0", "0x1.504ede6a16a3bp+0", "0x1.be5bb1cfb10f6p+0")])
+    scan = BandScan(np.arange(3), np.ones(3, dtype=np.int64), ratio, w2)
+    st_ = band_stats(scan, BandComparison(1.0, ratio))
+    assert st_["mean_ratio"].hex() == "0x1.63125e33fe482p+0"
+    assert (math.fsum(ratio.tolist()) / 3).hex() == "0x1.63125e33fe483p+0"
+
+
 def test_compare_csv_header(table2, block2, pairmap2, w2, tmp_path):
     scan = scan_band(table2, block2.logs, w2.n_star, w2.n_star + 2, pair_map=pairmap2, w=w2)
-    rows = compare_report(scan, w2)
+    cmp = compare_report(scan, w2)
     out = tmp_path / "cmp.csv"
-    with out.open("w") as fh:
-        compare_to_csv(scan, rows, fh)
+    assert main(["compare", "--k", "2", "--c", "1.05", "--theta", "2.0", "--band", "0:2",
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "N,count,weighted,main_term,ratio"
     assert len(lines) == 4
+    # the row writer the columns replaced
+    mt = cmp.main_term
+    assert lines[1:] == [f"{N},{c},{x:.12g},{mt:.12g},{r:.12g}" for N, c, x, r in zip(
+        scan.N.tolist(), scan.count.tolist(), scan.weighted.tolist(), cmp.ratio.tolist())]
+
+
+def test_compare_columns_bits_equal_row_oracle(capsys, table3, block3, w3):
+    # The per-row code the columns replaced, over 4 001 targets: Python x / mt
+    # per row, statistics over the Python ratios, and the row-dict JSON.
+    lo, hi = w3.n_star - 2000, w3.n_star + 2000
+    scan = scan_band(table3, block3.logs, lo, hi, w=w3)
+    stats = band_stats(scan, compare_report(scan, w3))
+    mt = main_term(w3)
+    rows = [{"N": N, "count": c, "weighted": x, "main_term": mt, "ratio": x / mt}
+            for N, c, x in zip(range(lo, hi + 1), scan.count.tolist(), scan.weighted.tolist())]
+    ratios = [row["ratio"] for row in rows]
+    want = {"n": len(rows),
+            "positive_rate": sum(1 for row in rows if row["count"] > 0) / len(rows),
+            "mean_ratio": statistics.mean(ratios),
+            "median_ratio": statistics.median(ratios)}
+    for key in ("mean_ratio", "median_ratio", "positive_rate"):
+        assert stats[key].hex() == want[key].hex(), key
+    assert stats == want
+    assert {k: type(v) for k, v in stats.items()} == {k: type(v) for k, v in want.items()}
+    assert main(["compare", "--k", "3", "--band", "-2000:2000", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps({"rows": rows, "stats": want, "window": dataclasses.asdict(w3)},
+                             sort_keys=True) + "\n"

@@ -199,6 +199,19 @@ def test_classical_zero_target(capsys):
     assert out == "N,count,weighted,main_term,ratio\n0,0,0,0,0\n"
 
 
+@pytest.mark.parametrize("c", ["40", "1000", "1e308"])
+def test_classical_huge_c_counts_nothing(capsys, c):
+    # 2^c far exceeds the target: no prime is floored (2^1e308 overflows a double)
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "classical", "--c", c, "--target", "2000", "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            obj = json.loads(out)
+            assert (obj["N"], obj["count"], obj["weighted"], obj["ratio"]) == (2000, 0, 0.0, 0.0)
+        else:
+            assert out.splitlines()[1].startswith("2000,0,0,")
+
+
 def test_classical_main_term_small_gamma_argument(capsys):
     # 3/c = 0.46 here: the main term needs gamma below 1/2
     import mpmath as mp
@@ -300,10 +313,10 @@ def test_out_missing_directory(capsys, tmp_path):
 def test_out_checked_before_run(capsys, tmp_path, monkeypatch):
     from tanprimes import cli
 
-    def refuse(a):
+    def refuse(*args):
         raise AssertionError("the run started before --out was checked")
 
-    monkeypatch.setattr(cli, "_pair_table", refuse)
+    monkeypatch.setattr(cli, "_band_scan", refuse)
     dest = tmp_path / "missing" / "x.csv"
     code, out, err = run(capsys, "compare", "--k", "4", "--band", "-100:100", "--out", str(dest))
     assert code == 2

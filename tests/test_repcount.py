@@ -19,6 +19,7 @@ from tanprimes import (
     sieve_segment,
     value_table,
 )
+from tanprimes.cli import main
 from tanprimes.errors import (
     AmbiguousFloor,
     BandTooWide,
@@ -31,7 +32,6 @@ from tanprimes.repcount import (
     _classical_floor,
     build_pair_map,
     pair_span_bound,
-    scan_to_csv,
     self_convolution,
 )
 
@@ -173,11 +173,14 @@ def test_zero_report_out_of_range(table2, block2, monkeypatch):
 
 def test_scan_matches_pointwise(table2, block2, pairmap2, w2):
     scan = scan_band(table2, block2.logs, w2.n_star - 5, w2.n_star + 5, pair_map=pairmap2, w=w2)
-    assert [r.target for r in scan] == list(range(w2.n_star - 5, w2.n_star + 6))
-    for row in scan:
-        rep = count_ternary_mitm(table2, block2.logs, row.target, pair_map=pairmap2, w=w2)
-        assert row.count == rep.count
-        assert row.weighted == rep.weighted
+    assert len(scan) == 11
+    assert scan.N.tolist() == list(range(w2.n_star - 5, w2.n_star + 6))
+    cols = (scan.N, scan.count, scan.weighted)
+    for i, (N, count, weighted) in enumerate(zip(*(col.tolist() for col in cols))):
+        rep = count_ternary_mitm(table2, block2.logs, N, pair_map=pairmap2, w=w2)
+        assert count == rep.count
+        assert weighted == rep.weighted
+        assert scan.report(i) == rep
 
 
 def _bands(table, w):
@@ -208,10 +211,10 @@ def test_band_limited_table_matches_full_map(request, monkeypatch, k, band):
                           "full-span": len(full.counts)}[band]
     assert band == "full-span" or want_n_out < len(full.counts)
     reference = scan_band(table, logs, N_lo, N_hi, pair_map=full)
-    assert [r.count for r in limited] == [r.count for r in reference]
-    assert any(r.count for r in reference)
-    for a, b in zip(limited, reference):
-        assert a.weighted == pytest.approx(b.weighted, rel=1e-12, abs=0.0)
+    assert limited.count.tolist() == reference.count.tolist()
+    assert reference.count.any()
+    for a, b in zip(limited.weighted.tolist(), reference.weighted.tolist()):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 def test_scan_unordered_table(table2, block2, w2):
@@ -223,10 +226,11 @@ def test_scan_unordered_table(table2, block2, w2):
     assert np.any(np.diff(shuffled.f) < 0)
     N_lo, N_hi = w2.n_star - 4, w2.n_star + 4
     scan = scan_band(shuffled, logs, N_lo, N_hi, w=w2)
-    for row in scan:
-        ref = count_ternary_naive(table2, block2.logs, row.target)
-        assert row.count == ref.count
-        assert row.weighted == pytest.approx(ref.weighted, rel=1e-9)
+    assert scan.N.tolist() == list(range(N_lo, N_hi + 1))
+    for N, count, weighted in zip(scan.N.tolist(), scan.count.tolist(), scan.weighted.tolist()):
+        ref = count_ternary_naive(table2, block2.logs, N)
+        assert count == ref.count
+        assert weighted == pytest.approx(ref.weighted, rel=1e-9)
 
 
 def test_scan_concatenation(table2, block2, pairmap2):
@@ -234,9 +238,9 @@ def test_scan_concatenation(table2, block2, pairmap2):
     whole = scan_band(table2, block2.logs, a, b, pair_map=pairmap2)
     left = scan_band(table2, block2.logs, a, m, pair_map=pairmap2)
     right = scan_band(table2, block2.logs, m + 1, b, pair_map=pairmap2)
-    glued = left + right
-    assert [r.count for r in whole] == [r.count for r in glued]
-    assert [r.weighted for r in whole] == [r.weighted for r in glued]
+    for name in ("N", "count", "weighted"):
+        glued = np.concatenate([getattr(left, name), getattr(right, name)])
+        assert getattr(whole, name).tolist() == glued.tolist(), name
 
 
 def _slice_products(f, logs, pm, N):
@@ -254,10 +258,10 @@ def test_meet_bits_equal_fsum(request, table3, block3, w3, table_kind):
     pm = supplied if supplied is not None else repcount._pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
     scan = scan_band(table3, logs, N_lo, N_hi, pair_map=supplied)
     products = 0
-    for rep in scan:
-        terms = _slice_products(f, logs, pm, rep.target)
+    for N, weighted in zip(scan.N.tolist(), scan.weighted.tolist()):
+        terms = _slice_products(f, logs, pm, N)
         products += len(terms)
-        assert rep.weighted.hex() == math.fsum(terms).hex(), rep.target
+        assert weighted.hex() == math.fsum(terms).hex(), N
     assert products > 2 * repcount._MEET_CHUNK  # the band spans several chunks
 
 
@@ -310,15 +314,16 @@ def test_meet_chunks_with_empty_slices(table3, block3, pairmap3, w3, monkeypatch
                           pairmap3.weights[a:a + 4], pairmap3.n_primes)
     N_lo = pm.s_min + int(table3.f[len(table3) // 2])
     scan = scan_band(table3, block3.logs, N_lo, N_lo + 400, pair_map=pm)
-    lens = [len(_slice_products(table3.f, block3.logs, pm, r.target)) for r in scan]
+    lens = [len(_slice_products(table3.f, block3.logs, pm, N)) for N in scan.N.tolist()]
     assert 0 in lens[1:-1] and max(lens) > 0
-    for rep, n in zip(scan, lens):
-        one = count_ternary_mitm(table3, block3.logs, rep.target, pair_map=pm)
-        assert (rep.count, rep.weighted.hex()) == (one.count, one.weighted.hex())
-        terms = _slice_products(table3.f, block3.logs, pm, rep.target)
-        assert rep.weighted.hex() == math.fsum(terms).hex()
+    for N, count, weighted, n in zip(scan.N.tolist(), scan.count.tolist(),
+                                     scan.weighted.tolist(), lens):
+        one = count_ternary_mitm(table3, block3.logs, N, pair_map=pm)
+        assert (count, weighted.hex()) == (one.count, one.weighted.hex())
+        terms = _slice_products(table3.f, block3.logs, pm, N)
+        assert weighted.hex() == math.fsum(terms).hex()
         if n == 0:
-            assert rep.count == 0 and rep.weighted.hex() == "0x0.0p+0"
+            assert count == 0 and weighted.hex() == "0x0.0p+0"
 
 
 @pytest.fixture(scope="module")
@@ -349,15 +354,19 @@ def test_scan_rejections(table2, block2):
         scan_band(table2, block2.logs, 0, 2 * 10**6)
 
 
-def test_scan_csv_shape(table2, block2, tmp_path):
+def test_scan_csv_shape(table2, block2, w2, tmp_path):
     scan = scan_band(table2, block2.logs, 9376, 9380)
     out = tmp_path / "scan.csv"
-    with out.open("w") as fh:
-        scan_to_csv(scan, fh)
+    band = f"--band={9376 - w2.n_star}:{9380 - w2.n_star}"
+    assert main(["scan", "--k", "2", "--c", "1.05", "--theta", "2.0", band,
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "N,count,weighted"
     assert len(lines) == 6
     assert lines[1].startswith("9376,")
+    # the row writer the columns replaced
+    assert lines[1:] == [f"{N},{c},{x:.12g}" for N, c, x in
+                         zip(scan.N.tolist(), scan.count.tolist(), scan.weighted.tolist())]
 
 
 def test_find_binary_frozen(table3, block3, w3):
@@ -432,6 +441,22 @@ def test_classical_small_oracle():
     rep = count_classical(c, N)
     assert rep.count == cnt
     assert rep.weighted == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
+def test_classical_floors_only_reachable_primes(monkeypatch):
+    # the sieve bound int(263^0.4) + 2 takes in 11, but 11^2.5 = 401.3 >= 264,
+    # so 11 is dropped before its floor is taken; 129 + 129 + 5 = 263
+    floored = []
+
+    def recording(p, c):
+        floored.append(p)
+        return _classical_floor(p, c)
+
+    monkeypatch.setattr(repcount, "_classical_floor", recording)
+    rep = count_classical(2.5, 263)
+    assert floored == [2, 3, 5, 7]
+    assert rep.count == 3
+    assert rep.weighted == pytest.approx(3 * math.log(7) ** 2 * math.log(2), rel=1e-12)
 
 
 def test_classical_fixture_point():
