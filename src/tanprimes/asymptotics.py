@@ -68,7 +68,7 @@ def grid_weights(w: WindowParams) -> tuple[np.ndarray, np.ndarray]:
     if size > _GRID_GUARD:
         raise BandTooWide(f"target grid has {size} points, guard is {_GRID_GUARD}")
     m = np.arange(m_lo, w.n_star + 1, dtype=np.int64)
-    wt = weight(m.astype(np.float64), w)
+    wt = weight(m, w)
     m.flags.writeable = wt.flags.writeable = False  # shared by every caller
     return m, wt
 

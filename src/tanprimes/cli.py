@@ -154,7 +154,7 @@ def _scan_columns(scan: repcount.BandScan) -> dict:
 def _band_scan(a, lo: int, hi: int):
     """Scan of n_star + [lo, hi], refused before sieving if the pair map would be."""
     w, _ = _window(a)
-    repcount.check_pair_span(repcount.pair_span_bound(w))
+    repcount.check_pair_span(repcount.pair_span_bound(w, w.n_star + hi))
     values, logs = _table(w)
     return w, repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)
 

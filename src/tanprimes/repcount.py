@@ -84,21 +84,26 @@ def _check_lengths(values: ValueTable, logs: np.ndarray) -> None:
 
 
 def check_pair_span(span: int) -> None:
-    """Refuse dense pair tables of more than 2^26 sums, before they are built.
+    """Refuse pair tables whose transforms exceed 2^26 points, before they are built.
 
-    span is the number of pair sums, 2*(max f - min f) + 1, or an upper
-    bound for it such as pair_span_bound(w) when no table exists yet.
+    span is the length the table's transforms use, max(n_out, 2*width - 1)
+    (see _pair_map_from_arrays), which for a full table is the number of
+    pair sums, 2*(max f - min f) + 1; or an upper bound for it such as
+    pair_span_bound(w, N_hi) when no table exists yet.
     """
     if span > _PAIR_SPAN_GUARD:
         raise TooLarge(f"pair-sum span {span} exceeds the dense-array guard")
 
 
-def pair_span_bound(w: WindowParams) -> int:
-    """Upper bound on the pair-sum span of the window's table, from w alone.
+def pair_span_bound(w: WindowParams, N_hi: int) -> int:
+    """Upper bound on the transform length of the table a band ending at N_hi reads.
 
-    t is increasing on the window, so every f(p) lies in [floor(n1), n_star].
+    t is increasing on the window, so every f(p) lies in [floor(n1), n_star]:
+    the full span is at most 2*(n_star - floor(n1)) + 1, and the band reads at
+    most n_out = N_hi - 3*floor(n1) + 1 sums from at most as many floors, so
+    its transforms are at most 2*n_out - 1 long.
     """
-    return 2 * (w.n_star - math.floor(w.n1)) + 1
+    return min(2 * (w.n_star - math.floor(w.n1)) + 1, 2 * (N_hi - 3 * math.floor(w.n1) + 1) - 1)
 
 
 def _fft_length(n: int) -> int:
@@ -123,7 +128,11 @@ def self_convolution(x: np.ndarray, n_out: int) -> np.ndarray:
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
     """Pair sums from 2 min f on: all of them, or only the first n_out.
 
-    The span guard always judges the full span, whatever n_out asks for.
+    Only the floors below min f + n_out can reach those sums, so the
+    multiplicity vectors hold just the first width = min(max f - min f + 1,
+    n_out) of them, the entries self_convolution reads. The span guard judges
+    the length the transforms use, max(n_out, 2*width - 1); for a full table
+    that is the full span.
     """
     n = len(f)
     if n == 0:
@@ -131,16 +140,19 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] 
     fmin = int(f.min())
     fmax = int(f.max())
     span = 2 * (fmax - fmin) + 1
-    check_pair_span(span)
     n_out = span if n_out is None else min(span, n_out)
+    width = min(fmax - fmin + 1, n_out)
+    check_pair_span(max(n_out, 2 * width - 1))
     rel = (f - fmin).astype(np.int64)
+    keep = rel < width
+    rel, logs = rel[keep], logs[keep]
     # rint is exact: t' > 1 on every window (and (p^c)' > 1 in the classical
     # variant), so f is strictly increasing, the multiplicity vector is 0/1 and
-    # |x|^2 = n <= width <= 2^25 under the 2^26 span guard. Percival's bound
-    # (Math. Comp. 72, 2003) on the error of the FFT square is then about
+    # |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1. Percival's
+    # bound (Math. Comp. 72, 2003) on the error of the FFT square is then about
     # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
-    counts = np.rint(self_convolution(np.bincount(rel), n_out)).astype(np.int64)
-    weights = self_convolution(np.bincount(rel, weights=logs), n_out)
+    counts = np.rint(self_convolution(np.bincount(rel, minlength=width), n_out)).astype(np.int64)
+    weights = self_convolution(np.bincount(rel, weights=logs, minlength=width), n_out)
     weights[counts == 0] = 0.0
     return PairMap(2 * fmin, counts, weights, n)
 

@@ -226,20 +226,29 @@ def _newton(ta, w: WindowParams, t1: float, t2: float):
 def _solve(t, w: WindowParams, finish):
     # finish(y) for y = the inverse of each target, solved and finished in
     # chunks of _NEWTON_CHUNK on the pool; each chunk writes only its slice.
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    # Targets are range-checked and made float64 a chunk at a time, so no
+    # full-length temporary is made, and every chunk is checked before any
+    # is solved.
+    t_arr = np.atleast_1d(np.asarray(t))
     t1, t2 = image_interval(w)
-    slack = 1e-9 * np.maximum(1.0, np.abs(t_arr))
-    if np.any(t_arr < t1 - slack) or np.any(t_arr > t2 + _UPPER_SLACK + slack):
-        raise OutOfRange(
-            f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
-        )
-    out = np.empty_like(t_arr)
+    starts = range(0, len(t_arr), _NEWTON_CHUNK)
+
+    def targets(start):
+        return np.asarray(t_arr[start:start + _NEWTON_CHUNK], dtype=np.float64)
+
+    for start in starts:
+        ta = targets(start)
+        slack = 1e-9 * np.maximum(1.0, np.abs(ta))
+        if np.any(ta < t1 - slack) or np.any(ta > t2 + _UPPER_SLACK + slack):
+            raise OutOfRange(
+                f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
+            )
+    out = np.empty(t_arr.shape)
 
     def run(start):
-        chunk = slice(start, start + _NEWTON_CHUNK)
-        out[chunk] = finish(_newton(t_arr[chunk], w, t1, t2))
+        out[start:start + _NEWTON_CHUNK] = finish(_newton(targets(start), w, t1, t2))
 
-    pool.map_chunks(run, range(0, len(t_arr), _NEWTON_CHUNK))
+    pool.map_chunks(run, starts)
     return out
 
 

@@ -279,3 +279,26 @@ def test_compare_columns_bits_equal_row_oracle(capsys, table3, block3, w3):
     out = capsys.readouterr().out
     assert out == json.dumps({"rows": rows, "stats": want, "window": dataclasses.asdict(w3)},
                              sort_keys=True) + "\n"
+
+
+def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
+    # the targets are range-checked and made float64 a chunk at a time and
+    # the int64 grid is passed as is: on a pool of 2 the grid, its weights
+    # and a chunk of temporaries per thread stay under 3.5 times the grid's
+    # bytes (2.6 measured); a float64 copy of the grid and full-length
+    # range-check temporaries took 4.6
+    import tracemalloc
+
+    from tanprimes import pool
+    from tanprimes import window as window_mod
+
+    monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", 2 ** 10)
+    with pool.threads(2):
+        tracemalloc.start()
+        try:
+            m, wt = grid_weights.__wrapped__(w3)  # uncached
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert wt.tobytes() == grid_weights(w3)[1].tobytes()
+    assert peak < 3.5 * m.nbytes

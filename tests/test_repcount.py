@@ -72,8 +72,11 @@ def test_pair_map_matches_bincount(table3, block3, pairmap3):
 
 def test_percival_bound_at_span_guard():
     # _pair_map_from_arrays rounds FFT counts with rint on the strength of
-    # this bound and quotes these figures; raising the span guard (k=5 needs
-    # 1.18e8) must revisit both.
+    # this bound and quotes these figures. The guard judges the transform
+    # length max(n_out, 2*width - 1), so a table's multiplicity vector has
+    # at most (guard + 1) // 2 ones, and a band-limited table (the k=5 band
+    # transforms 3.75e7 points of a 1.18e8-sum span) stays within the same
+    # figures; raising the guard must revisit both.
     guard = repcount._PAIR_SPAN_GUARD
     norm2 = (guard + 1) // 2  # 0/1 multiplicities over at most this many f values
     L = math.ceil(math.log2(repcount._fft_length(guard)))
@@ -217,6 +220,57 @@ def test_band_limited_table_matches_full_map(request, monkeypatch, k, band):
         assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
+def _untruncated_pair_map(f, logs, n_out=None):
+    # the build before band limiting: both bincounts over the whole floor
+    # range, of which self_convolution reads only the first n_out entries
+    fmin, fmax = int(f.min()), int(f.max())
+    span = 2 * (fmax - fmin) + 1
+    n_out = span if n_out is None else min(span, n_out)
+    rel = (f - fmin).astype(np.int64)
+    counts = np.rint(self_convolution(np.bincount(rel), n_out)).astype(np.int64)
+    weights = self_convolution(np.bincount(rel, weights=logs), n_out)
+    weights[counts == 0] = 0.0
+    return repcount.PairMap(2 * fmin, counts, weights, len(f))
+
+
+def _same_bits(got, want):
+    assert (got.s_min, got.n_primes) == (want.s_min, want.n_primes)
+    assert got.counts.dtype == want.counts.dtype and got.weights.dtype == want.weights.dtype
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize("band", ["one-entry", "interior", "full-span", "full-table"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_band_limited_build_bits_equal_untruncated(request, k, band):
+    table = request.getfixturevalue(f"table{k}")
+    logs = request.getfixturevalue(f"block{k}").logs
+    if band == "full-table":
+        n_out = None
+    else:
+        n_out = _bands(table, request.getfixturevalue(f"w{k}"))[band][1] - 3 * int(table.f.min()) + 1
+    _same_bits(repcount._pair_map_from_arrays(table.f, logs, n_out),
+               _untruncated_pair_map(table.f, logs, n_out))
+
+
+def test_classical_pair_map_bits_equal_untruncated(monkeypatch):
+    # count_classical builds its table band-limited to its one target; at
+    # N = 2000 the band drops the top floors from the multiplicity vectors
+    dropped = []
+
+    def checked(f, logs, n_out=None):
+        pm = build(f, logs, n_out)
+        _same_bits(pm, _untruncated_pair_map(f, logs, n_out))
+        dropped.append(int(np.sum(f - int(f.min()) >= n_out)))
+        return pm
+
+    build = repcount._pair_map_from_arrays
+    monkeypatch.setattr(repcount, "_pair_map_from_arrays", checked)
+    assert count_classical(1.02, 2000).count == 5811
+    assert count_classical(2.5, 263).count == 3
+    assert dropped == [2, 0]
+
+
 def test_scan_unordered_table(table2, block2, w2):
     # value_table over several windows is not ascending; the meet sorts it
     perm = np.random.default_rng(3).permutation(len(table2))
@@ -335,6 +389,27 @@ def band_table4():
     return f, block.logs, repcount._pair_map_from_arrays(f, block.logs, w.n_star + 100 - 3 * int(f[0]) + 1)
 
 
+def test_band_table_bits_equal_untruncated_k4(band_table4):
+    f, logs, pm = band_table4
+    _same_bits(pm, _untruncated_pair_map(f, logs, len(pm.counts)))
+
+
+def test_band_table_keeps_memory_to_the_band_k4(band_table4):
+    # the multiplicity vectors hold only the floors the band reads: under 7
+    # times the table's 8 bytes a sum (6.1 measured), where bincounts over
+    # all 2.4e6 floors took 8.2
+    import tracemalloc
+
+    f, logs, pm = band_table4
+    tracemalloc.start()
+    try:
+        repcount._pair_map_from_arrays(f, logs, len(pm.counts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * len(pm.counts)
+
+
 def test_band_table_spot_check_k4(band_table4):
     # pairs at one sum from a binary search, sharing nothing with the FFT
     f, logs, pm = band_table4
@@ -401,15 +476,22 @@ def test_window_mismatch(table2, block2):
         count_ternary_mitm(table2, block2.logs[:-1], 9000)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("c,theta", [(1.02, 1.5), (1.05, 2.0)])
 def test_pair_span_bound_from_window(k, c, theta):
-    # the CLI refuses scan/compare from this bound before sieving, so it
-    # must never undercut the span of the table it stands in for
+    # the CLI refuses count/scan/compare from this bound before sieving, so
+    # it must never undercut the transform length of the table it stands in
+    # for: the full span, or the band-limited length of a band ending at N_hi
     w = quiet_window(k, c, theta)
     t = value_table(sieve_segment(w.delta1, w.delta2).primes, c, theta)
-    span = 2 * (int(t.f.max()) - int(t.f.min())) + 1  # as _pair_map_from_arrays
-    assert span <= pair_span_bound(w) <= span * 1.02
+    fmin, fmax = int(t.f.min()), int(t.f.max())
+    span = 2 * (fmax - fmin) + 1  # as _pair_map_from_arrays
+    full = pair_span_bound(w, 3 * w.n_star)  # a band that reads every sum
+    assert span <= full <= span * 1.02
+    for N_hi in (3 * fmin, w.n_star - 100, w.n_star + 100, 3 * fmax):
+        n_out = min(span, N_hi - 3 * fmin + 1)
+        width = min(fmax - fmin + 1, n_out)
+        assert max(n_out, 2 * width - 1) <= pair_span_bound(w, N_hi) <= full
 
 
 def test_naive_guard():
