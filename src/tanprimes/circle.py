@@ -24,10 +24,12 @@ circle_integral caches it per (table, log weights, interval, grid): the
 O(grid * primes) exponentials are paid once, and each further target costs
 one O(grid) contraction with the same bits as a cold call.
 
-One sum at one alpha builds its terms in chunks of _TERM_CHUNK, on the
-thread pool when the CLI opened one (see tanprimes.pool), into a single
-array that one np.sum adds; its bits depend on neither the chunk nor the
-pool width. sum_samples reuses that array for every alpha.
+One sum at one alpha walks the tree of numpy's pairwise sum over its
+terms: each node of at most _TERM_CHUNK terms builds its terms and sums
+them as one task, on the thread pool when the CLI opened one (see
+tanprimes.pool), and the nodes above join as numpy joins them. No array of
+every term is held, and the bits are those of one np.sum over such an
+array, whatever the chunk or the pool width.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .seqeval import ValueTable, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
-_TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sum
+_TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums, at most
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
 
@@ -89,12 +91,37 @@ def _dyadic(alpha: float, n: int, f_bound: int | None) -> tuple[int, int] | None
     return num, den
 
 
+def _pairwise_layout(start: int, n: int, leaf: int):
+    # The nodes of numpy's pairwise sum of the n complex128 terms from start:
+    # a node above 64 terms splits after (n - n % 8) // 2 of them, and one of
+    # at most 64 is added in a single loop. Nodes of at most leaf >= 64 terms
+    # stay whole, as slices; larger ones are (left, right) pairs.
+    if n <= leaf:
+        return slice(start, start + n)
+    half = (n - n % 8) // 2
+    return (_pairwise_layout(start, half, leaf), _pairwise_layout(start + half, n - half, leaf))
+
+
+def _join_layout(node, sums) -> complex:
+    # The sum of a node from its leaves' sums (an iterator, in order): a
+    # complex add is numpy's join, real + real and imag + imag.
+    if isinstance(node, slice):
+        return next(sums)
+    return _join_layout(node[0], sums) + _join_layout(node[1], sums)
+
+
+def _flat_leaves(node) -> list[slice]:
+    return [node] if isinstance(node, slice) else _flat_leaves(node[0]) + _flat_leaves(node[1])
+
+
 def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
     # Sum of coeff * e(alpha * freq) at each alpha, with the phase reduced
-    # mod 1 first; exact at integer alpha. The terms of one alpha are built
-    # chunk by chunk on the pool into one array, shared by every alpha; one
-    # np.sum over it keeps the pairwise layout of a whole-array sum, so the
-    # bits depend on neither chunk nor width.
+    # mod 1 first; exact at integer alpha. The sum walks numpy's pairwise
+    # tree over the whole array of terms: each node of at most
+    # max(_TERM_CHUNK, 64) terms is one pool task that builds its terms and
+    # returns their np.sum, and the nodes above join as numpy joins them.
+    # So no array of every term is ever held, and the bits are those of one
+    # np.sum over that array, whatever the chunk or the pool width.
     #
     # A dyadic alpha = num/den (every point of a power-of-two grid) takes
     # e(alpha * f) from a table of den roots of unity, with the same bits:
@@ -105,15 +132,15 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
     # the coefficient multiplies it as before. Any other alpha (non-dyadic,
     # non-finite, too large, or over frequencies of a non-integer dtype)
     # takes the general path.
-    terms = np.empty(len(freq), dtype=np.complex128)
-    chunks = [slice(s, s + _TERM_CHUNK) for s in range(0, len(freq), _TERM_CHUNK)]
+    layout = _pairwise_layout(0, len(freq), max(_TERM_CHUNK, 64))
+    leaves = _flat_leaves(layout)
     f_bound = _freq_bound(freq)
     sums = []
     for alpha in alphas:
         ratio = _dyadic(alpha, len(freq), f_bound)
         if ratio is None:
             def run(chunk):
-                terms[chunk] = coeff[chunk] * np.exp(2j * np.pi * _frac(alpha * freq[chunk]))
+                return np.sum(coeff[chunk] * np.exp(2j * np.pi * _frac(alpha * freq[chunk])))
         else:
             num, den = ratio
             roots = np.exp(2j * np.pi * (np.arange(den) / den))
@@ -121,10 +148,9 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
             def run(chunk):
                 r = num * freq[chunk].astype(np.int64, copy=False)
                 r &= den - 1
-                terms[chunk] = coeff[chunk] * roots[r]
+                return np.sum(coeff[chunk] * roots[r])
 
-        pool.map_chunks(run, chunks)
-        sums.append(complex(np.sum(terms)))
+        sums.append(complex(_join_layout(layout, iter(pool.map_chunks(run, leaves)))))
     return sums
 
 

@@ -2,17 +2,20 @@
 
 The workhorse is meet-in-the-middle: tabulate the multiset of ordered
 pair sums f(p_i)+f(p_j) once (dense count and weight arrays from one FFT),
-then meet each target N on one slice of p_3. Since every f(p_3) >= min f, a
-band ending at N_hi reads only pair sums up to N_hi - min f, and the table
-is built only that far. A literal triple loop serves as the independent
-oracle. Ordered triples are counted, diagonals included.
+then meet a band of consecutive targets transposed: for a block of targets
+each p_3 reads one contiguous window of the table, and the windows are
+summed down the p_3. Since every f(p_3) >= min f, a band ending at N_hi
+reads only pair sums up to N_hi - min f, and the table is built only that
+far. A loop over every ordered pair, looking the third floor up, serves as
+the independent oracle. Ordered triples are counted, diagonals included.
 
 The weighted sum over p_3 of each target is exact until one final rounding:
-every product is cut without error into integer slices of at most 26 bits,
-each slice is summed exactly in float64 (a target has at most 2^25 terms),
-and the slices join as Python ints. The result is the correctly rounded
-sum, the same bits as math.fsum, whatever the order or the chunking. A
-band comes back as one BandScan of columns; report(i) is one target's row.
+every product is cut without error into integer slices of at most 26 bits
+on units fixed once per band, each slice is summed exactly in float64 (a
+target has at most 2^25 terms), and the slices join as Python ints. The
+result is the correctly rounded sum, the same bits as math.fsum, whatever
+the order or the blocking. A band comes back as one BandScan of columns;
+report(i) is one target's row.
 """
 from __future__ import annotations
 
@@ -32,8 +35,9 @@ _NAIVE_GUARD = 10 ** 4
 _CLASSICAL_GUARD = 10 ** 5
 _PAIR_SPAN_GUARD = 1 << 26   # dense pair arrays beyond this would eat memory
 _BAND_GUARD = 10 ** 6
-_MEET_CHUNK = 1 << 14      # products the band meet gathers at once (whole targets)
-_SLICE_BITS = 26           # width of the exact-sum slices; see _exact_sums
+_MEET_CHUNK = 1 << 16      # products the band meet gathers at once (at least one row)
+_MEET_TARGETS = 1 << 12    # targets of one block of the band meet
+_SLICE_BITS = 26           # width of the exact-sum slices; see _add_slices
 
 
 @dataclass(frozen=True)
@@ -125,18 +129,17 @@ def self_convolution(x: np.ndarray, n_out: int) -> np.ndarray:
     return np.fft.irfft(spec, nfft)[:n_out]
 
 
-def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
+def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
+                 margin: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Pair sums from 2 min f on: all of them, or only the first n_out.
 
-    Only the floors below min f + n_out can reach those sums, so the
-    multiplicity vectors hold just the first width = min(max f - min f + 1,
-    n_out) of them, the entries self_convolution reads. The span guard judges
-    the length the transforms use, max(n_out, 2*width - 1); for a full table
-    that is the full span.
+    Returns 2 min f and the count and weight arrays, each with margin zeros
+    on both sides of its n_out sums. Only the floors below min f + n_out
+    can reach those sums, so the multiplicity vectors hold just the first
+    width = min(max f - min f + 1, n_out) of them, the entries
+    self_convolution reads. The span guard judges the length the transforms
+    use, max(n_out, 2*width - 1); for a full table that is the full span.
     """
-    n = len(f)
-    if n == 0:
-        return PairMap(0, np.zeros(1, dtype=np.int64), np.zeros(1), 0)
     fmin = int(f.min())
     fmax = int(f.max())
     span = 2 * (fmax - fmin) + 1
@@ -151,10 +154,20 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] 
     # |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1. Percival's
     # bound (Math. Comp. 72, 2003) on the error of the FFT square is then about
     # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
+    # np.pad copies each result once its transform's buffers are freed, which
+    # also lets go of the whole irfft output the weights would be a view of.
     counts = np.rint(self_convolution(np.bincount(rel, minlength=width), n_out)).astype(np.int64)
+    counts = np.pad(counts, margin)
     weights = self_convolution(np.bincount(rel, weights=logs, minlength=width), n_out)
-    weights[counts == 0] = 0.0
-    return PairMap(2 * fmin, counts, weights, n)
+    weights[counts[margin:margin + n_out] == 0] = 0.0
+    return 2 * fmin, counts, np.pad(weights, margin)
+
+
+def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
+    """Pair sums from 2 min f on: all of them, or only the first n_out (see _pair_tables)."""
+    if len(f) == 0:
+        return PairMap(0, np.zeros(1, dtype=np.int64), np.zeros(1), 0)
+    return PairMap(*_pair_tables(f, logs, n_out, 0), len(f))
 
 
 def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
@@ -162,75 +175,106 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
     return _pair_map_from_arrays(values.f, np.asarray(logs, dtype=np.float64))
 
 
-def _exact_sums(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """math.fsum of each segment x[offsets[i]:offsets[i+1]], bit for bit.
+def _slice_units(top: float, small: float) -> range:
+    """Exponents u, highest first, of the 2^u units of the exact-sum slices.
 
-    x holds finite values >= 0 below 2^970; offsets rise strictly, and the
-    last segment runs to the end of x.
+    top bounds every value to be cut, 0 < small <= top bounds every nonzero
+    one from below, and top < 2^970; with top = 0 every value is 0 and one
+    slice holds them. The lowest unit 2^lo is at most the ulp of small, so
+    it divides every value; the highest is at least top's exponent - 26.
     """
-    top = float(x.max())
     if top == 0.0:
-        return np.zeros(len(offsets))
-    # Every x is cut without error into slices on the units lo, lo + 26,
-    # ..., the highest just below top's exponent; lo is the smallest nonzero
-    # ulp, so x and every rest are multiples of 2^lo. With C = 1.5*2^(u+52)
-    # the ulp of rest + C is 2^u, so (rest + C) - C is rest rounded to a
-    # multiple of 2^u, and it and rest - part are exact (Sterbenz). A part
-    # is at most 2^26 units of 2^u in the top slice (x < 2^(u+26)) and 2^25
-    # below it (|rest| is at most half the unit above); the last slice is
-    # the rest itself. A target meets at most n <= 2^25 terms (distinct
-    # floors under the 2^26 span guard, as for the rint counts), so every
-    # partial sum of a slice is an integer below 2^51 units and
-    # np.add.reduceat adds them exactly, in any order. The slices join
-    # exactly as Python ints, and int / int rounds once, half to even, as
-    # math.fsum does, subnormal results included.
-    lo = max(math.frexp(float(np.min(x, where=x > 0, initial=top)))[1] - 53, -1074)
-    units = range(lo + (math.frexp(top)[1] - lo - 1) // _SLICE_BITS * _SLICE_BITS, lo - 1, -_SLICE_BITS)
-    limbs = np.empty((len(offsets), len(units)), dtype=np.int64)
-    rest = x.copy()
+        return range(0, -1, -_SLICE_BITS)
+    lo = max(math.frexp(small)[1] - 53, -1074)
+    return range(lo + (math.frexp(top)[1] - lo - 1) // _SLICE_BITS * _SLICE_BITS, lo - 1, -_SLICE_BITS)
+
+
+def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
+    """Cut the rows-by-columns x into slices on units; add slice j's column sums to acc[j].
+
+    x is overwritten. Every x is cut without error: with C = 1.5*2^(u+52)
+    the ulp of rest + C is 2^u, so (rest + C) - C is rest rounded to a
+    multiple of 2^u, and it and rest - part are exact (Sterbenz). A part is
+    at most 2^26 units of 2^u in the top slice (x < 2^(u+26)) and 2^25 below
+    it (|rest| is at most half the unit above); the last slice is the rest
+    itself, a multiple of 2^lo. While a column of acc gathers at most 2^25
+    nonzero values, every partial sum of slice j is an integer below 2^51 units of
+    2^units[j], so float64 adds it exactly, in any order and any blocking.
+    """
     part = np.empty_like(x)
     for j, u in enumerate(units[:-1]):
-        np.add(rest, math.ldexp(1.5, u + 52), out=part)
+        np.add(x, math.ldexp(1.5, u + 52), out=part)
         part -= math.ldexp(1.5, u + 52)
-        rest -= part
-        limbs[:, j] = np.ldexp(np.add.reduceat(part, offsets), -u)
-    limbs[:, -1] = np.ldexp(np.add.reduceat(rest, offsets), -lo)
-    totals = limbs.astype(object).dot(np.array([1 << (u - lo) for u in units], dtype=object))
+        x -= part
+        acc[j] += part.sum(axis=0)
+    acc[-1] += x.sum(axis=0)
+
+
+def _join_slices(acc: np.ndarray, units: range) -> np.ndarray:
+    """math.fsum of each column that _add_slices added into acc, bit for bit.
+
+    The slice sums are integers of units, joined exactly as Python ints; int
+    / int rounds once, half to even, as math.fsum does, subnormal results
+    included.
+    """
+    lo = units[-1]
+    limbs = np.ldexp(acc, -np.array(units)[:, None]).astype(np.int64)
+    totals = limbs.T.astype(object).dot(np.array([1 << (u - lo) for u in units], dtype=object))
     return (totals * (1 << max(lo, 0)) / (1 << max(-lo, 0))).astype(np.float64)
 
 
 def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
           pm: Optional[PairMap]) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and weighted sums of the consecutive targets Ns, one slice of p_3 each.
+    """Counts and weighted sums of the consecutive targets Ns, exact until one rounding.
 
     Without pm the table stops at the largest pair sum the band reads,
-    max Ns - min f, and none is built when no triple reaches the band. Sorting
-    by f makes the p_3 with N - f in the table a slice. The slices are
-    gathered for whole targets at a time, about _MEET_CHUNK products, and
-    each target's products are summed exactly by _exact_sums.
+    max Ns - min f, and none is built when no triple reaches the band.
+    Sorted by f, p_3 number i meets target N at table index N - s_min - f_i,
+    so for a block of up to _MEET_TARGETS consecutive targets each p_3 reads
+    one contiguous window of the table; zero margins a block wide let every
+    window stay in the arrays. The p_3 that reach a block are a run of
+    rows; their windows are gathered about _MEET_CHUNK products at a time,
+    counts summed down the rows, and the weighted products cut into slices
+    whose units are fixed once per band (_slice_units, from bounds on the
+    largest and smallest product) and summed down the rows per target. A
+    target meets at most 2^25 p_3 (distinct floors under the 2^26 span
+    guard, as for the rint counts) and the other rows read zeros, so the
+    slice sums are exact and the result is math.fsum's, whatever the blocks.
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))
-    if len(f) and Ns[-1] >= 3 * int(f.min()) and Ns[0] <= 3 * int(f.max()):
-        order = np.argsort(f, kind="stable")
-        f, logs = f[order], logs[order]
-        if pm is None:
-            pm = _pair_map_from_arrays(f, logs, int(Ns[-1]) - 3 * int(f[0]) + 1)
-        starts = np.searchsorted(f, Ns - pm.s_max, side="left")
-        lens = np.searchsorted(f, Ns - pm.s_min, side="right") - starts
-        ends = np.cumsum(lens)
-        t = 0
-        while t < len(Ns):
-            e = max(t + 1, int(np.searchsorted(ends, ends[t] - lens[t] + _MEET_CHUNK, side="right")))
-            ln = lens[t:e]
-            off = np.cumsum(ln) - ln
-            hit = ln > 0  # reduceat gives an empty segment the next element, not 0
-            if hit.any():
-                i = np.repeat(starts[t:e] - off, ln) + np.arange(int(ln.sum()))  # p_3 of each product
-                idx = np.repeat(Ns[t:e] - pm.s_min, ln) - f[i]
-                counts[t:e][hit] = np.add.reduceat(pm.counts[idx], off[hit])
-                weighted[t:e][hit] = _exact_sums(logs[i] * pm.weights[idx], off[hit])
-            t = e
+    if not (len(f) and Ns[-1] >= 3 * int(f.min()) and Ns[0] <= 3 * int(f.max())):
+        return counts, weighted
+    order = np.argsort(f, kind="stable")
+    f, logs = f[order], logs[order]
+    tb = min(len(Ns), _MEET_TARGETS)
+    if pm is None:
+        s_min, pc, pw = _pair_tables(f, logs, int(Ns[-1]) - 3 * int(f[0]) + 1, tb)
+    else:
+        s_min, pc, pw = pm.s_min, np.pad(pm.counts, tb), np.pad(pm.weights, tb)
+    s_max = s_min + len(pc) - 2 * tb - 1
+    # Rounding is monotone: top bounds every product, small every nonzero one.
+    top = float(logs.max()) * float(pw.max())
+    small = float(logs.min()) * float(np.min(pw, where=pw > 0, initial=np.inf))
+    units = _slice_units(top, small)
+    rows = max(1, _MEET_CHUNK // tb)
+    for t in range(0, len(Ns), tb):
+        N0, width = int(Ns[t]), min(tb, len(Ns) - t)
+        a = int(np.searchsorted(f, N0 - s_max, side="left"))
+        b = int(np.searchsorted(f, N0 + width - 1 - s_min, side="right"))
+        if a == b:
+            continue
+        cv = np.lib.stride_tricks.sliding_window_view(pc, width)
+        wv = np.lib.stride_tricks.sliding_window_view(pw, width)
+        acc = np.zeros((len(units), width))
+        for r in range(a, b, rows):
+            i = slice(r, min(r + rows, b))
+            starts = N0 - s_min + tb - f[i]     # window of p_3 number i in the margined arrays
+            counts[t:t + width] += cv[starts].sum(axis=0)
+            x = wv[starts]
+            x *= logs[i, None]
+            _add_slices(x, units, acc)
+        weighted[t:t + width] = _join_slices(acc, units)
     return counts, weighted
 
 
@@ -251,26 +295,27 @@ def count_ternary_naive(
     N: int,
     w: Optional[WindowParams] = None,
 ) -> RepReport:
-    """Independent oracle: literal triple loop, no pair tables."""
+    """Independent oracle: a loop over every ordered pair, no pair tables.
+
+    The third floor N - f_i - f_j is looked up in a dict from floor to
+    indices, built once per call, so the terms are the triple loop's
+    products in its order, in O(n^2) steps.
+    """
     _check_lengths(values, logs)
     n = len(values)
     if n > _NAIVE_GUARD:
         raise TooLarge(f"naive loop over {n} primes refused (guard {_NAIVE_GUARD})")
     f = [int(v) for v in values.f]
     lg = [float(v) for v in logs]
-    r = 0
+    by_floor: dict[int, list[int]] = {}
+    for l, fl in enumerate(f):
+        by_floor.setdefault(fl, []).append(l)
     terms = []
     for i in range(n):
         for j in range(n):
-            fij = f[i] + f[j]
-            if fij > N:
-                continue
-            wij = lg[i] * lg[j]
-            for l in range(n):
-                if fij + f[l] == N:
-                    r += 1
-                    terms.append(wij * lg[l])
-    return RepReport(int(N), r, math.fsum(terms), "naive", w)
+            for l in by_floor.get(N - f[i] - f[j], ()):
+                terms.append(lg[i] * lg[j] * lg[l])
+    return RepReport(int(N), len(terms), math.fsum(terms), "naive", w)
 
 
 def scan_band(

@@ -258,14 +258,18 @@ def test_classical_pair_map_bits_equal_untruncated(monkeypatch):
     # N = 2000 the band drops the top floors from the multiplicity vectors
     dropped = []
 
-    def checked(f, logs, n_out=None):
-        pm = build(f, logs, n_out)
-        _same_bits(pm, _untruncated_pair_map(f, logs, n_out))
+    def checked(f, logs, n_out, margin):
+        s_min, counts, weights = tables = build(f, logs, n_out, margin)
+        inner = slice(margin, len(counts) - margin)
+        _same_bits(repcount.PairMap(s_min, counts[inner], weights[inner], len(f)),
+                   _untruncated_pair_map(f, logs, n_out))
+        assert not counts[:margin].any() and not counts[inner.stop:].any()
+        assert not weights[:margin].any() and not weights[inner.stop:].any()
         dropped.append(int(np.sum(f - int(f.min()) >= n_out)))
-        return pm
+        return tables
 
-    build = repcount._pair_map_from_arrays
-    monkeypatch.setattr(repcount, "_pair_map_from_arrays", checked)
+    build = repcount._pair_tables
+    monkeypatch.setattr(repcount, "_pair_tables", checked)
     assert count_classical(1.02, 2000).count == 5811
     assert count_classical(2.5, 263).count == 3
     assert dropped == [2, 0]
@@ -319,6 +323,14 @@ def test_meet_bits_equal_fsum(request, table3, block3, w3, table_kind):
     assert products > 2 * repcount._MEET_CHUNK  # the band spans several chunks
 
 
+def _column_fsums(x):
+    # the meet's exact-sum kernel on each column of x, its units from x's extremes
+    units = repcount._slice_units(float(x.max()), float(np.min(x, where=x > 0, initial=np.inf)))
+    acc = np.zeros((len(units), x.shape[1]))
+    repcount._add_slices(x.copy(), units, acc)
+    return repcount._join_slices(acc, units)
+
+
 def test_exact_sums_where_plain_sums_fail():
     segments = [
         [2.0 ** 53, 1.0, 1.0],                             # np.sum drops both ones
@@ -332,9 +344,10 @@ def test_exact_sums_where_plain_sums_fail():
     rng = np.random.default_rng(17)
     for size in (1, 2, 5, 40, 700):
         segments.append((rng.random(size) * 2.0 ** rng.integers(-80, 80, size)).tolist())
-    x = np.array([v for seg in segments for v in seg])
-    offsets = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-    got = repcount._exact_sums(x, offsets)
+    x = np.zeros((max(map(len, segments)), len(segments)))  # one segment a column
+    for j, seg in enumerate(segments):
+        x[:len(seg), j] = seg
+    got = _column_fsums(x)
     assert np.sum(segments[0]) != math.fsum(segments[0])
     for g, seg in zip(got.tolist(), segments):
         assert g.hex() == math.fsum(seg).hex(), seg[:3]
@@ -355,7 +368,7 @@ def test_exact_sums_near_ties_with_many_terms():
     for side in (1, -1):
         last = (1 << 52) + (half + side - exact - (1 << 52)) % (2 * half)
         terms = np.append(m, last) * 2.0 ** -53
-        got = repcount._exact_sums(terms, np.array([0]))[0]
+        got = _column_fsums(terms[:, None])[0]
         assert got.hex() == math.fsum(terms.tolist()).hex()
 
 
@@ -378,6 +391,50 @@ def test_meet_chunks_with_empty_slices(table3, block3, pairmap3, w3, monkeypatch
         assert weighted.hex() == math.fsum(terms).hex()
         if n == 0:
             assert count == 0 and weighted.hex() == "0x0.0p+0"
+
+
+def _slice_count(f, pm, N):
+    a = int(np.searchsorted(f, N - pm.s_max, side="left"))
+    b = int(np.searchsorted(f, N - pm.s_min, side="right"))
+    return int(pm.counts[N - pm.s_min - f[a:b]].sum())
+
+
+@pytest.mark.parametrize("band", ["interior", "below-3-min-f", "above-3-max-f"])
+def test_meet_block_shapes(table3, block3, w3, monkeypatch, band):
+    # 2 001 targets in blocks of every shape: all of them by 1, 3, 2 or 32
+    # rows at a time, 300 targets by 13 rows, one target by every row.
+    # Every count and every weighted bit equal the per-target oracle.
+    f, logs = table3.f, block3.logs
+    centre = {"interior": w3.n_star, "below-3-min-f": 3 * int(f[0]),
+              "above-3-max-f": 3 * int(f[-1])}[band]
+    N_lo, N_hi = centre - 1000, centre + 1000
+    pm = repcount._pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+    Ns = range(N_lo, N_hi + 1)
+    want_counts = [_slice_count(f, pm, N) for N in Ns]
+    want = [math.fsum(_slice_products(f, logs, pm, N)).hex() for N in Ns]
+    assert 0 < sum(want_counts) and (band == "interior") == all(want_counts)
+    for targets, chunk in [(1 << 12, 1), (1 << 12, 3), (1 << 12, 1 << 12), (1 << 12, 1 << 16),
+                           (300, 1 << 12), (1, 1 << 16)]:
+        monkeypatch.setattr(repcount, "_MEET_TARGETS", targets)
+        monkeypatch.setattr(repcount, "_MEET_CHUNK", chunk)
+        scan = scan_band(table3, logs, N_lo, N_hi)
+        assert scan.count.tolist() == want_counts, (targets, chunk)
+        assert [x.hex() for x in scan.weighted.tolist()] == want, (targets, chunk)
+
+
+@pytest.mark.parametrize("c, theta", [(1.02, 1.5), (1.05, 2.0)])
+def test_mitm_equals_naive_k3(c, theta):
+    # the one route at k=3 that shares neither the pair table, the sort nor
+    # the FFT with the meet; the weighted gap is the FFT's rounding of the
+    # pair weights, at most 3.7e-16 relative over these ten targets
+    w = quiet_window(3, c, theta)
+    block = sieve_segment(w.delta1, w.delta2)
+    table = value_table(block.primes, w.c, w.theta)
+    for d in (0, -20000, -7, 13, 20000):
+        a = count_ternary_mitm(table, block.logs, w.n_star + d)
+        b = count_ternary_naive(table, block.logs, w.n_star + d)
+        assert a.count == b.count > 0
+        assert a.weighted == pytest.approx(b.weighted, rel=1e-15, abs=0.0)
 
 
 @pytest.fixture(scope="module")
