@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
 import numpy as np
 
 from .errors import BandTooWide, InvalidParameter, TooLarge, WindowMismatch
@@ -68,10 +67,15 @@ class BandScan:
 
 @dataclass(frozen=True)
 class PairMap:
-    """Dense ordered-pair-sum tables: counts[s - s_min], weights[s - s_min]."""
+    """Dense ordered-pair-sum tables: counts[s - s_min], weights[s - s_min].
+
+    Counts are int32. The floors are distinct, so each p_i meets at most one
+    p_j at a sum: a pair sum has at most n_primes ordered pairs, and under
+    the 2^26 span guard at most 2^25 primes reach the table.
+    """
 
     s_min: int
-    counts: np.ndarray   # int64
+    counts: np.ndarray   # int32
     weights: np.ndarray  # float64, sum of log p_i log p_j per pair sum
     n_primes: int
 
@@ -116,17 +120,29 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
 
 
-def self_convolution(x: np.ndarray, n_out: int) -> np.ndarray:
+def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed float64 buffer of the transform length for a width-long x, and its spectrum."""
+    nfft = _fft_length(max(n_out, 2 * width - 1))
+    return np.zeros(nfft), np.empty(nfft // 2 + 1, dtype=np.complex128)
+
+
+def self_convolution(x: np.ndarray, n_out: int, spec: Optional[np.ndarray] = None) -> np.ndarray:
     """First n_out entries of the linear convolution x * x, by one rfft and irfft.
 
     Only x[:n_out] is read; the 5-smooth transform length holds its whole
-    self-convolution, so nothing wraps around.
+    self-convolution, so nothing wraps around. With spec, x and spec are a
+    workspace from _fft_workspace, x already holding the input: the
+    transforms write into them and the result is a view of x. Without it a
+    workspace is made for x.
     """
-    x = np.asarray(x[:n_out], dtype=np.float64)
-    nfft = _fft_length(max(n_out, 2 * len(x) - 1))
-    spec = np.fft.rfft(x, nfft)
+    if spec is None:
+        x = x[:n_out]
+        buf, spec = _fft_workspace(len(x), n_out)
+        buf[:len(x)] = x
+        x = buf
+    np.fft.rfft(x, out=spec)
     spec *= spec
-    return np.fft.irfft(spec, nfft)[:n_out]
+    return np.fft.irfft(spec, len(x), out=x)[:n_out]
 
 
 def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
@@ -139,6 +155,13 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     width = min(max f - min f + 1, n_out) of them, the entries
     self_convolution reads. The span guard judges the length the transforms
     use, max(n_out, 2*width - 1); for a full table that is the full span.
+
+    Both transforms run in one workspace, a float64 buffer of that length
+    and its spectrum: each multiplicity vector is written straight into the
+    buffer, the counts are rounded there and copied out as int32, and the
+    weights are copied out once the spectrum is freed. The peak is the
+    workspace and the int32 counts, about 4.6 times 8 bytes a sum for a
+    band-limited table.
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -154,19 +177,24 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     # |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1. Percival's
     # bound (Math. Comp. 72, 2003) on the error of the FFT square is then about
     # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
-    # np.pad copies each result once its transform's buffers are freed, which
-    # also lets go of the whole irfft output the weights would be a view of.
-    counts = np.rint(self_convolution(np.bincount(rel, minlength=width), n_out)).astype(np.int64)
-    counts = np.pad(counts, margin)
-    weights = self_convolution(np.bincount(rel, weights=logs, minlength=width), n_out)
-    weights[counts[margin:margin + n_out] == 0] = 0.0
-    return 2 * fmin, counts, np.pad(weights, margin)
+    # Neither table is a view of the workspace, which goes with this frame.
+    buf, spec = _fft_workspace(width, n_out)
+    np.add.at(buf, rel, 1.0)
+    sums = self_convolution(buf, n_out, spec=spec)
+    counts = np.zeros(n_out + 2 * margin, dtype=np.int32)
+    counts[margin:margin + n_out] = np.rint(sums, out=sums)
+    buf.fill(0.0)
+    np.add.at(buf, rel, logs)
+    sums = self_convolution(buf, n_out, spec=spec)
+    del spec
+    sums[counts[margin:margin + n_out] == 0] = 0.0
+    return 2 * fmin, counts, np.pad(sums, margin)
 
 
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
     """Pair sums from 2 min f on: all of them, or only the first n_out (see _pair_tables)."""
     if len(f) == 0:
-        return PairMap(0, np.zeros(1, dtype=np.int64), np.zeros(1), 0)
+        return PairMap(0, np.zeros(1, dtype=np.int32), np.zeros(1), 0)
     return PairMap(*_pair_tables(f, logs, n_out, 0), len(f))
 
 
@@ -270,7 +298,7 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
         for r in range(a, b, rows):
             i = slice(r, min(r + rows, b))
             starts = N0 - s_min + tb - f[i]     # window of p_3 number i in the margined arrays
-            counts[t:t + width] += cv[starts].sum(axis=0)
+            counts[t:t + width] += cv[starts].sum(axis=0)   # int32 rows, summed in int64
             x = wv[starts]
             x *= logs[i, None]
             _add_slices(x, units, acc)
@@ -359,6 +387,8 @@ def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:
 
 
 def _exact_power(p: int, c: float):
+    import mpmath as mp
+
     return mp.mpf(p) ** c
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import AmbiguousFloor, DomainError
@@ -57,12 +56,15 @@ def certified_floor(v: float, exact, n: int, *params) -> tuple[int, float, bool]
     v is trusted unless it lies within GUARD_ABS of an integer. Then
     exact(n, *params) recomputes the value as an mpmath number at
     _ESCALATED_PREC bits, and a value within AMBIGUOUS_ABS of an integer
-    raises AmbiguousFloor. The last item tells whether that path ran.
+    raises AmbiguousFloor. The last item tells whether that path ran; only
+    that path imports mpmath.
     """
     fl = math.floor(v)
     frac = v - fl
     if min(frac, 1.0 - frac) >= GUARD_ABS:
         return fl, frac, False
+    import mpmath as mp
+
     with mp.workprec(_ESCALATED_PREC):
         mv = exact(n, *params)
         nearest = mp.nint(mv)
@@ -75,6 +77,8 @@ def certified_floor(v: float, exact, n: int, *params) -> tuple[int, float, bool]
 
 
 def _exact_value(n: int, c: float, theta: float):
+    import mpmath as mp
+
     return mp.mpf(n) ** c * mp.tan(mp.log(n)) ** theta
 
 

@@ -16,10 +16,10 @@ follows its own trajectory, so the bits depend on neither.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 
 from . import pool
@@ -35,7 +35,10 @@ from .errors import (
 
 ARCTAN2 = math.atan(2.0)
 C_SUP = 23.0 / 21.0  # admissible exponent supremum, derived in exponents.py
-_MP_PREC = 120       # construction precision in bits, rounded to float at the end
+_DIGITS = 50         # construction precision in decimal digits, rounded to float at the end
+# pi and arctan 2 to 66 digits, the constants decimal lacks
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459231")
+_ATAN2 = decimal.Decimal("1.10714871779409050301706546017853704007004764540143264667653920743")
 
 # invert_map accepts targets slightly above t(delta2): n_star is the nearest
 # integer to t(delta2) and may round upward by as much as 1/2.
@@ -91,21 +94,23 @@ def _check_params(c: float, theta: float, epsilon: float) -> None:
 def window_from_index(k: int, c: float, theta: float, epsilon: float = 0.05) -> WindowParams:
     """Build the k-th window for exponents (c, theta).
 
-    Endpoints are computed at high precision and rounded once to float;
-    n_star is the correctly rounded nearest integer to 2^theta*delta2^c.
+    Endpoints are computed in decimal at _DIGITS significant digits and
+    rounded once to float; n_star is the nearest integer (ties to even) to
+    2^theta*delta2^c, exact while it has well under _DIGITS digits.
     """
     if int(k) != k or k < 0:
         raise InvalidParameter(f"k must be a nonnegative integer, got {k}")
     k = int(k)
     _check_params(c, theta, epsilon)
-    with mp.workprec(_MP_PREC):
-        d1 = mp.exp(mp.pi * k + mp.pi / 4)
-        d2 = mp.exp(mp.pi * k + mp.atan(2))
-        n1 = d1 ** c
-        n_star = int(mp.nint(mp.mpf(2.0) ** theta * d2 ** c))
-        delta1 = float(d1)
-        delta2 = float(d2)
-        n1_f = float(n1)
+    with decimal.localcontext(decimal.Context(prec=_DIGITS)):
+        dc, dtheta = decimal.Decimal(float(c)), decimal.Decimal(float(theta))
+        a1 = _PI * k + _PI / 4          # log delta1
+        a2 = _PI * k + _ATAN2           # log delta2
+        delta1 = float(a1.exp())
+        delta2 = float(a2.exp())
+        n1_f = float((dc * a1).exp())
+        t2 = (dtheta * decimal.Decimal(2).ln() + dc * a2).exp()
+        n_star = int(t2.to_integral_value(decimal.ROUND_HALF_EVEN))
     x = delta2
     tau = x ** (1.0 - c - epsilon)
     if tau >= 0.25:

@@ -156,6 +156,36 @@ def test_pool_loads_nothing_until_used():
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
 
 
+def test_startup_loads_no_mpmath():
+    # only an escalated floor imports mpmath: the CLI starts without it
+    import subprocess
+    import sys
+
+    code = "import sys, tanprimes.cli; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True)
+
+
+def test_escalation_imports_mpmath_when_needed():
+    # a fresh interpreter, mpmath unloaded, gets the same escalated floor and
+    # classical count as this one
+    import subprocess
+    import sys
+
+    from tanprimes import count_classical
+    from tanprimes.seqeval import _escalated
+
+    n = 378802969
+    code = ("import sys; from tanprimes import repcount, seqeval; "
+            "assert 'mpmath' not in sys.modules; "
+            f"print(repr(seqeval._escalated({n}, 1.02, 1.5))); "
+            "assert 'mpmath' in sys.modules; "
+            "print(repr(repcount.count_classical(1.05, 2000)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert out == [repr(_escalated(n, 1.02, 1.5)), repr(count_classical(1.05, 2000))]
+    assert _escalated(n, 1.02, 1.5)[0] == 802780165
+
+
 def test_binary_pair(capsys, w3):
     code, out, _ = run(capsys, "binary", "--k", "3")
     assert code == 0

@@ -202,9 +202,9 @@ def test_band_limited_table_matches_full_map(request, monkeypatch, k, band):
     N_lo, N_hi = _bands(table, request.getfixturevalue(f"w{k}"))[band]
     seen = []
 
-    def recording(x, n_out):
+    def recording(x, n_out, **kw):
         seen.append(n_out)
-        return self_convolution(x, n_out)
+        return self_convolution(x, n_out, **kw)
 
     monkeypatch.setattr(repcount, "self_convolution", recording)
     limited = scan_band(table, logs, N_lo, N_hi)
@@ -227,7 +227,7 @@ def _untruncated_pair_map(f, logs, n_out=None):
     span = 2 * (fmax - fmin) + 1
     n_out = span if n_out is None else min(span, n_out)
     rel = (f - fmin).astype(np.int64)
-    counts = np.rint(self_convolution(np.bincount(rel), n_out)).astype(np.int64)
+    counts = np.rint(self_convolution(np.bincount(rel), n_out)).astype(np.int32)
     weights = self_convolution(np.bincount(rel, weights=logs), n_out)
     weights[counts == 0] = 0.0
     return repcount.PairMap(2 * fmin, counts, weights, len(f))
@@ -452,9 +452,10 @@ def test_band_table_bits_equal_untruncated_k4(band_table4):
 
 
 def test_band_table_keeps_memory_to_the_band_k4(band_table4):
-    # the multiplicity vectors hold only the floors the band reads: under 7
-    # times the table's 8 bytes a sum (6.1 measured), where bincounts over
-    # all 2.4e6 floors took 8.2
+    # the multiplicity vectors hold only the floors the band reads, and both
+    # transforms share one workspace: under 5 times 8 bytes a sum (4.59
+    # measured; 6.1 with a buffer per transform, 8.2 with bincounts over all
+    # 2.4e6 floors)
     import tracemalloc
 
     f, logs, pm = band_table4
@@ -464,7 +465,7 @@ def test_band_table_keeps_memory_to_the_band_k4(band_table4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 8 * len(pm.counts)
+    assert peak < 5 * 8 * len(pm.counts)
 
 
 def test_band_table_spot_check_k4(band_table4):

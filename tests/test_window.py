@@ -69,6 +69,41 @@ def test_n_star_is_rounded_image_of_delta2():
         assert w.x == w.delta2
 
 
+def _mpmath_window(k, c, theta):
+    # the 120-bit mpmath construction, rounded once to float and n_star
+    import mpmath as mp
+
+    with mp.workprec(120):
+        d1 = mp.exp(mp.pi * k + mp.pi / 4)
+        d2 = mp.exp(mp.pi * k + mp.atan(2))
+        n_star = int(mp.nint(mp.mpf(2.0) ** theta * d2 ** c))
+        return float(d1), float(d2), float(d1 ** c), n_star
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_window_constants_match_mpmath(k):
+    # the decimal construction gives the same fields, bit for bit; n_star
+    # has at most 22 digits here, well inside both precisions
+    for c in (1.001, 1.02, 1.05, 1.0952, 1.2, 1.5, 2.0):
+        for theta in (0.5, 1.0, 1.5, 2.0, 3.0):
+            w = quiet_window(k, c, theta)
+            got = (w.delta1, w.delta2, w.n1, w.n_star)
+            assert got == _mpmath_window(k, c, theta), (k, c, theta)
+
+
+def test_window_literals_match_mpmath():
+    # pi and arctan 2 to at least 60 digits, each within half a unit of its last digit
+    import mpmath as mp
+
+    from tanprimes import window
+
+    with mp.workprec(300):
+        for lit, exact in ((window._PI, mp.pi), (window._ATAN2, mp.atan(2))):
+            digits = lit.as_tuple()
+            assert len(digits.digits) >= 60
+            assert abs(mp.mpf(str(lit)) - exact) <= mp.mpf(10) ** (digits.exponent) / 2
+
+
 def test_tau_clipping_at_desk_scale():
     with pytest.warns(TauClippedWarning):
         w = window_from_index(2, 1.05, 2.0)
