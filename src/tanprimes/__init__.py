@@ -11,7 +11,6 @@ from .asymptotics import (
     weight_convolution,
 )
 from .circle import (
-    SumSample,
     circle_integral,
     fourier_coeff,
     fourier_expansion_residual,

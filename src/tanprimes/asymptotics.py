@@ -84,6 +84,12 @@ def _pair_sums(w: WindowParams) -> np.ndarray:
     return P
 
 
+def _pair_products(wt: np.ndarray, m_lo: int, m_hi: int, s: int) -> np.ndarray:
+    # w(m1) w(m2) over m1 + m2 = s, m1 ascending; s in [2 m_lo, 2 m_hi]
+    a, b = max(m_lo, s - m_hi), min(m_hi, s - m_lo)
+    return wt[a - m_lo: b - m_lo + 1] * wt[s - b - m_lo: s - a - m_lo + 1][::-1]
+
+
 def weight_convolution(w: WindowParams, N: int, k: int) -> float:
     """Exact k-fold convolution of the smooth weights at target N.
 
@@ -111,13 +117,7 @@ def weight_convolution(w: WindowParams, N: int, k: int) -> float:
         return 0.0
 
     if k == 2:
-        a = max(m_lo, N - m_hi)
-        b = min(m_hi, N - m_lo)
-        if a > b:
-            return 0.0
-        left = wt[a - m_lo: b - m_lo + 1]
-        right = wt[N - b - m_lo: N - a - m_lo + 1][::-1]
-        return math.fsum(left * right)
+        return math.fsum(_pair_products(wt, m_lo, m_hi, N)) if 2 * m_lo <= N <= 2 * m_hi else 0.0
 
     # k == 3: partial pair convolutions contracted against the third factor.
     s_lo = max(2 * m_lo, N - m_hi)
@@ -130,11 +130,7 @@ def weight_convolution(w: WindowParams, N: int, k: int) -> float:
         P.flags.writeable = True
         try:
             for s in missing.tolist():
-                a = max(m_lo, s - m_hi)
-                b = min(m_hi, s - m_lo)
-                left = wt[a - m_lo: b - m_lo + 1]
-                right = wt[s - b - m_lo: s - a - m_lo + 1][::-1]
-                P[s - 2 * m_lo] = float(np.sum(left * right))
+                P[s - 2 * m_lo] = float(np.sum(_pair_products(wt, m_lo, m_hi, s)))
         finally:
             P.flags.writeable = False
     pairs = P[s_lo - 2 * m_lo: s_hi - 2 * m_lo + 1]

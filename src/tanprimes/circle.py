@@ -7,6 +7,8 @@ with integer frequencies:
   smooth_exp_sum   over the integer target grid, coefficient weight(m), frequency m;
   integer_exp_sum  over all integers in the window, coefficient 1, frequency f(n).
 
+Each is sum_samples at one alpha, which returns the complex sums of a kind.
+
 Because frequencies are integers, alpha*freq is reduced mod 1 before the
 exponential, as x - floor(x), which has the bits of np.mod(x, 1.0);
 values at alpha and alpha+1 are then bit-identical, and the full-circle
@@ -20,9 +22,10 @@ is then exact, each root is the np.exp the per-term path would call, and
 the sum keeps its bits; any other alpha exponentiates each term.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
-circle_integral caches it per (table, log weights, interval, grid): the
-O(grid * primes) exponentials are paid once, and each further target costs
-one O(grid) contraction with the same bits as a cold call.
+circle_integral caches it per (table, log weights, interval, grid), with
+the trapezoid's endpoint halves applied: the O(grid * primes) exponentials
+are paid once, and each further target costs one O(grid) contraction with
+the same bits as a cold call.
 
 One sum at one alpha walks the tree of numpy's pairwise sum over its
 terms: each node of at most _TERM_CHUNK terms builds its terms and sums
@@ -37,28 +40,19 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import pool
 from .asymptotics import grid_weights
 from .errors import GridTooCoarseWarning, InvalidParameter, Singular
-from .seqeval import ValueTable, value_table
+from .seqeval import ValueTable, check_window_table, log_weights, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
 _TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums, at most
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
-
-
-@dataclass(frozen=True)
-class SumSample:
-    alpha: float
-    value: complex
-    kind: str                 # "prime", "smooth" or "integer"
-    window: WindowParams
 
 
 def _frac(x: np.ndarray) -> np.ndarray:
@@ -154,34 +148,19 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
     return sums
 
 
-def _exp_sum(coeff: np.ndarray, freq: np.ndarray, alpha: float) -> complex:
-    return _exp_sums(coeff, freq, [alpha])[0]
-
-
-def _prime_logs(values: ValueTable, logs) -> np.ndarray:
-    # One log weight per table entry; numpy would broadcast a single one.
-    logs = np.asarray(logs, dtype=np.float64)
-    if logs.shape != (len(values),):
-        raise InvalidParameter(
-            f"need one log weight per table entry: {len(values)} values, "
-            f"log weights of shape {logs.shape}"
-        )
-    return logs
-
-
 def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float) -> complex:
     """Sum of log(p) * e(alpha * f(p)) over the table's primes."""
-    return _exp_sum(_prime_logs(values, logs), values.f, alpha)
+    return sum_samples("prime", [alpha], None, values, logs)[0]
 
 
 def smooth_exp_sum(w: WindowParams, alpha: float) -> complex:
     """Sum of weight(m) * e(alpha * m) over the integer target grid."""
-    m, wt = grid_weights(w)
-    return _exp_sum(wt, m, alpha)
+    return sum_samples("smooth", [alpha], w)[0]
 
 
 @functools.lru_cache(maxsize=8)
 def _integer_freqs(w: WindowParams) -> np.ndarray:
+    check_window_table(w, primes=False)
     lo = math.floor(w.delta1) + 1
     hi = math.floor(w.delta2)
     f = value_table(np.arange(lo, hi + 1), w.c, w.theta).f
@@ -191,44 +170,49 @@ def _integer_freqs(w: WindowParams) -> np.ndarray:
 
 def integer_exp_sum(w: WindowParams, alpha: float) -> complex:
     """Sum of e(alpha * f(n)) over every integer n in (delta1, delta2]."""
-    freqs = _integer_freqs(w)
-    return _exp_sum(np.ones(len(freqs)), freqs, alpha)
+    return sum_samples("integer", [alpha], w)[0]
+
+
+def _terms(kind: str, w: WindowParams | None, values: ValueTable | None,
+           logs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    # The coefficients and frequencies of one of the three sums.
+    if kind == "prime":
+        if values is None or logs is None:
+            raise InvalidParameter("prime sums need the value table and log weights")
+        return log_weights(values, logs), values.f
+    if kind == "smooth":
+        m, wt = grid_weights(w)
+        return wt, m
+    if kind == "integer":
+        freq = _integer_freqs(w)
+        return np.ones(len(freq)), freq
+    raise InvalidParameter(f"unknown sum kind {kind!r}")
 
 
 def sum_samples(
     kind: str,
     alphas,
-    w: WindowParams,
+    w: WindowParams | None,
     values: ValueTable | None = None,
     logs: np.ndarray | None = None,
-) -> list[SumSample]:
-    """Evaluate one of the three sums on a list of alphas, tagged samples out.
+) -> list[complex]:
+    """One of the three sums ("prime", "smooth" or "integer") at each alpha.
 
     The coefficients and frequencies are resolved once, before any sum
-    runs, so the pool inside _exp_sum never enters a cached function.
+    runs, so the pool inside _exp_sums never enters a cached function.
+    A prime sum reads values and logs, the other two the window w.
     """
-    if kind == "prime":
-        if values is None or logs is None:
-            raise InvalidParameter("prime sums need the value table and log weights")
-        coeff, freq = _prime_logs(values, logs), values.f
-    elif kind == "smooth":
-        freq, coeff = grid_weights(w)
-    elif kind == "integer":
-        freq = _integer_freqs(w)
-        coeff = np.ones(len(freq))
-    else:
-        raise InvalidParameter(f"unknown sum kind {kind!r}")
-    alphas = [float(a) for a in alphas]
-    sums = _exp_sums(coeff, freq, alphas)
-    return [SumSample(a, z, kind, w) for a, z in zip(alphas, sums)]
+    coeff, freq = _terms(kind, w, values, logs)
+    return _exp_sums(coeff, freq, [float(a) for a in alphas])
 
 
 @functools.lru_cache(maxsize=_CUBED_SUM_CACHE)
 def _cubed_sums(
     f_bytes: bytes, log_bytes: bytes, a: float, b: float, M: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    # Per alpha chunk of the grid a + j h, j = 0..M: the alphas and S(alpha)^3.
-    # Read-only, since every caller shares them.
+    # Per alpha chunk of the grid a + j h, j = 0..M: the alphas and S(alpha)^3,
+    # halved at j = 0 and M for the trapezoid (exact, so it keeps the bits of
+    # halving those integrands). Read-only, since every caller shares them.
     f = np.frombuffer(f_bytes, dtype=np.float64)
     logs = np.frombuffer(log_bytes, dtype=np.float64)
     h = (b - a) / M
@@ -238,10 +222,12 @@ def _cubed_sums(
         alphas = a + j * h
         phases = _frac(alphas[:, None] * f[None, :])
         S = np.sum(np.exp(2j * np.pi * phases) * logs[None, :], axis=1)
-        S3 = S ** 3
+        chunks.append((alphas, S ** 3))
+    chunks[0][1][0] *= 0.5
+    chunks[-1][1][-1] *= 0.5
+    for alphas, S3 in chunks:
         alphas.flags.writeable = False
         S3.flags.writeable = False
-        chunks.append((alphas, S3))
     return tuple(chunks)
 
 
@@ -272,7 +258,7 @@ def circle_integral(
     M = int(grid_size)
     if M < 16:
         raise InvalidParameter(f"grid_size must be at least 16, got {M}")
-    logs = _prime_logs(values, logs)
+    logs = log_weights(values, logs)
     f_max = int(values.f.max()) if len(values) else 0
     if b - a >= 1.0 - 1e-12 and M <= 3 * f_max:
         warnings.warn(
@@ -282,15 +268,8 @@ def circle_integral(
         )
     chunks = _cubed_sums(values.f.astype(np.float64).tobytes(), logs.tobytes(), a, b, M)
     total = 0.0 + 0.0j
-    # Endpoints j = 0 and j = M carry the trapezoid 1/2.
-    for i, (alphas, S3) in enumerate(chunks):
-        integrand = S3 * np.exp(-2j * np.pi * _frac(alphas * N))
-        coeff = np.ones(len(alphas))
-        if i == 0:
-            coeff[0] = 0.5
-        if i == len(chunks) - 1:
-            coeff[-1] = 0.5
-        total += complex(np.sum(integrand * coeff))
+    for alphas, S3 in chunks:
+        total += complex(np.sum(S3 * np.exp(-2j * np.pi * _frac(alphas * N))))
     return total * ((b - a) / M)
 
 

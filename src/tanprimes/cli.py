@@ -28,7 +28,7 @@ import numpy as np
 from . import asymptotics, circle, exponents, pool, repcount
 from .errors import TanprimesError, UsageError
 from .primesieve import sieve_segment
-from .seqeval import table_to_csv, value_table, write_csv
+from .seqeval import check_window_table, table_to_csv, value_table, write_csv
 from .window import WindowParams, solve_for_target, weight, window_from_index
 
 
@@ -119,6 +119,7 @@ def _window(a) -> tuple[WindowParams, float | None]:
 
 def _table(w: WindowParams):
     """Certified value table and log weights of the window's primes."""
+    check_window_table(w, primes=True)
     block = sieve_segment(w.delta1, w.delta2)
     return value_table(block.primes, w.c, w.theta), block.logs
 
@@ -208,7 +209,7 @@ def _cmd_expsum(a):
         raise UsageError("--grid must be a positive integer")
     values, logs = _table(w) if a.kind == "prime" else (None, None)
     alphas = [-0.5 + j / a.grid for j in range(a.grid)]
-    z = [s.value for s in circle.sum_samples(a.kind, alphas, w, values, logs)]
+    z = circle.sum_samples(a.kind, alphas, w, values, logs)
     cols = {"alpha": np.array(alphas), "re": np.array([v.real for v in z]),
             "im": np.array([v.imag for v in z]), "abs": np.array([abs(v) for v in z])}
     return _columns_out(cols, "%.12g,%.12g,%.12g,%.12g\n", kind=a.kind,

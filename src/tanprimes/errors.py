@@ -3,7 +3,8 @@
 Two error families matter to the CLI exit-code mapping: plain
 TanprimesError subclasses are domain failures (exit 3), ResourceError
 subclasses are size/guard failures (exit 4). UsageError is reserved
-for argument parsing (exit 2).
+for argument parsing (exit 2). WindowMismatch, log weights that are not
+one per table row, is an InvalidParameter.
 """
 
 
@@ -57,8 +58,8 @@ class InvalidRange(TanprimesError):
     """Sieve range is empty or inverted."""
 
 
-class WindowMismatch(TanprimesError):
-    """Value table and log-weight array disagree in length."""
+class WindowMismatch(InvalidParameter):
+    """Log weights are not one float64 per value-table row."""
 
 
 class Singular(TanprimesError):

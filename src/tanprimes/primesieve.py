@@ -1,4 +1,8 @@
-"""Segmented sieve of Eratosthenes over (a, b] with log weights."""
+"""Segmented sieve of Eratosthenes over (a, b] with log weights.
+
+The base primes up to sqrt(b) come from the same segmented sieve, one level
+down; the recursion stops below 4, where no composite needs striking.
+"""
 from __future__ import annotations
 
 import math
@@ -21,18 +25,6 @@ class PrimeBlock:
 
     def __len__(self) -> int:
         return len(self.primes)
-
-
-def _base_primes(limit: int) -> np.ndarray:
-    # Plain boolean sieve up to limit inclusive; limit ~ sqrt(b) stays small.
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def _sieve_one(seg_lo: int, seg_hi: int, base: np.ndarray) -> np.ndarray:
@@ -68,7 +60,8 @@ def sieve_segment(a: float, b: float, threads: int = 1) -> PrimeBlock:
     first = max(lo + 1, 2)
     if hi < first:
         return PrimeBlock(lo, hi, np.empty(0, dtype=np.int64), np.empty(0))
-    base = _base_primes(math.isqrt(hi))
+    root = math.isqrt(hi)
+    base = sieve_segment(1, root).primes if root >= 2 else np.empty(0, dtype=np.int64)
     parts = [_sieve_one(s, min(s + _SEGMENT, hi + 1), base) for s in range(first, hi + 1, _SEGMENT)]
     primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     return PrimeBlock(lo, hi, primes, np.log(primes.astype(np.float64)))

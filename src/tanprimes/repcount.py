@@ -12,10 +12,10 @@ the independent oracle. Ordered triples are counted, diagonals included.
 The weighted sum over p_3 of each target is exact until one final rounding:
 every product is cut without error into integer slices of at most 26 bits
 on units fixed once per band, each slice is summed exactly in float64 (a
-target has at most 2^25 terms), and the slices join as Python ints. The
-result is the correctly rounded sum, the same bits as math.fsum, whatever
-the order or the blocking. A band comes back as one BandScan of columns;
-report(i) is one target's row.
+target has at most 2^25 terms), and math.fsum joins the slice sums. The
+result is the correctly rounded sum, the same bits as math.fsum of the
+products, whatever the order or the blocking. A band comes back as one
+BandScan of columns; report(i) is one target's row.
 """
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BandTooWide, InvalidParameter, TooLarge, WindowMismatch
+from .errors import BandTooWide, InvalidParameter, TooLarge
 from .primesieve import sieve_segment
-from .seqeval import ValueTable, certified_floor
+from .seqeval import ValueTable, certified_floor, log_weights
 from .window import WindowParams
 
 _NAIVE_GUARD = 10 ** 4
@@ -69,9 +69,10 @@ class BandScan:
 class PairMap:
     """Dense ordered-pair-sum tables: counts[s - s_min], weights[s - s_min].
 
-    Counts are int32. The floors are distinct, so each p_i meets at most one
-    p_j at a sum: a pair sum has at most n_primes ordered pairs, and under
-    the 2^26 span guard at most 2^25 primes reach the table.
+    Counts are int32. The floors strictly increase (_pair_tables checks it),
+    so each p_i meets at most one p_j at a sum: a pair sum has at most
+    n_primes ordered pairs, and under the 2^26 span guard at most 2^25
+    primes reach the table.
     """
 
     s_min: int
@@ -82,13 +83,6 @@ class PairMap:
     @property
     def s_max(self) -> int:
         return self.s_min + len(self.counts) - 1
-
-
-def _check_lengths(values: ValueTable, logs: np.ndarray) -> None:
-    if len(values) != len(logs):
-        raise WindowMismatch(
-            f"value table has {len(values)} rows but {len(logs)} log weights"
-        )
 
 
 def check_pair_span(span: int) -> None:
@@ -177,14 +171,22 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     # |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1. Percival's
     # bound (Math. Comp. 72, 2003) on the error of the FFT square is then about
     # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
+    # The increase is checked here, so each index below is written once.
     # Neither table is a view of the workspace, which goes with this frame.
+    bad = np.flatnonzero(np.diff(rel) <= 0)
+    if len(bad):
+        i = int(bad[0])
+        raise InvalidParameter(
+            f"pair tables need strictly increasing floors: {fmin + int(rel[i + 1])} "
+            f"follows {fmin + int(rel[i])}"
+        )
     buf, spec = _fft_workspace(width, n_out)
-    np.add.at(buf, rel, 1.0)
+    buf[rel] = 1.0
     sums = self_convolution(buf, n_out, spec=spec)
     counts = np.zeros(n_out + 2 * margin, dtype=np.int32)
     counts[margin:margin + n_out] = np.rint(sums, out=sums)
     buf.fill(0.0)
-    np.add.at(buf, rel, logs)
+    buf[rel] = logs
     sums = self_convolution(buf, n_out, spec=spec)
     del spec
     sums[counts[margin:margin + n_out] == 0] = 0.0
@@ -199,8 +201,7 @@ def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] 
 
 
 def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
-    _check_lengths(values, logs)
-    return _pair_map_from_arrays(values.f, np.asarray(logs, dtype=np.float64))
+    return _pair_map_from_arrays(values.f, log_weights(values, logs))
 
 
 def _slice_units(top: float, small: float) -> range:
@@ -238,17 +239,9 @@ def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
     acc[-1] += x.sum(axis=0)
 
 
-def _join_slices(acc: np.ndarray, units: range) -> np.ndarray:
-    """math.fsum of each column that _add_slices added into acc, bit for bit.
-
-    The slice sums are integers of units, joined exactly as Python ints; int
-    / int rounds once, half to even, as math.fsum does, subnormal results
-    included.
-    """
-    lo = units[-1]
-    limbs = np.ldexp(acc, -np.array(units)[:, None]).astype(np.int64)
-    totals = limbs.T.astype(object).dot(np.array([1 << (u - lo) for u in units], dtype=object))
-    return (totals * (1 << max(lo, 0)) / (1 << max(-lo, 0))).astype(np.float64)
+def _join_slices(acc: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of acc: _add_slices keeps every slice sum exact."""
+    return np.array([math.fsum(col) for col in acc.T.tolist()])
 
 
 def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
@@ -302,7 +295,7 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
             x = wv[starts]
             x *= logs[i, None]
             _add_slices(x, units, acc)
-        weighted[t:t + width] = _join_slices(acc, units)
+        weighted[t:t + width] = _join_slices(acc)
     return counts, weighted
 
 
@@ -329,7 +322,7 @@ def count_ternary_naive(
     indices, built once per call, so the terms are the triple loop's
     products in its order, in O(n^2) steps.
     """
-    _check_lengths(values, logs)
+    logs = log_weights(values, logs)
     n = len(values)
     if n > _NAIVE_GUARD:
         raise TooLarge(f"naive loop over {n} primes refused (guard {_NAIVE_GUARD})")
@@ -359,14 +352,14 @@ def scan_band(
     Without pair_map, builds one pair table holding only the sums up to
     N_hi - min f, and none when no triple reaches the band.
     """
-    _check_lengths(values, logs)
+    logs = log_weights(values, logs)
     N_lo, N_hi = int(N_lo), int(N_hi)
     if N_lo > N_hi:
         raise InvalidParameter(f"band bounds inverted: {N_lo} > {N_hi}")
     if N_hi - N_lo + 1 > _BAND_GUARD:
         raise BandTooWide(f"band width {N_hi - N_lo + 1} exceeds {_BAND_GUARD}")
     Ns = np.arange(N_lo, N_hi + 1, dtype=np.int64)
-    return BandScan(Ns, *_meet(values.f, np.asarray(logs, dtype=np.float64), Ns, pair_map), w)
+    return BandScan(Ns, *_meet(values.f, logs, Ns, pair_map), w)
 
 
 def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:

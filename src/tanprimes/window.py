@@ -36,6 +36,7 @@ from .errors import (
 ARCTAN2 = math.atan(2.0)
 C_SUP = 23.0 / 21.0  # admissible exponent supremum, derived in exponents.py
 _DIGITS = 50         # construction precision in decimal digits, rounded to float at the end
+_MAX_BITS = 1023     # t(delta2) must stay below 2^_MAX_BITS, inside the double range
 # pi and arctan 2 to 66 digits, the constants decimal lacks
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459231")
 _ATAN2 = decimal.Decimal("1.10714871779409050301706546017853704007004764540143264667653920743")
@@ -96,7 +97,9 @@ def window_from_index(k: int, c: float, theta: float, epsilon: float = 0.05) -> 
 
     Endpoints are computed in decimal at _DIGITS significant digits and
     rounded once to float; n_star is the nearest integer (ties to even) to
-    2^theta*delta2^c, exact while it has well under _DIGITS digits.
+    2^theta*delta2^c, exact while it has well under _DIGITS digits. A
+    window whose largest value t(delta2) reaches 2^_MAX_BITS is refused
+    before any exponential, so every field is a finite double.
     """
     if int(k) != k or k < 0:
         raise InvalidParameter(f"k must be a nonnegative integer, got {k}")
@@ -104,13 +107,16 @@ def window_from_index(k: int, c: float, theta: float, epsilon: float = 0.05) -> 
     _check_params(c, theta, epsilon)
     with decimal.localcontext(decimal.Context(prec=_DIGITS)):
         dc, dtheta = decimal.Decimal(float(c)), decimal.Decimal(float(theta))
+        ln2 = decimal.Decimal(2).ln()
         a1 = _PI * k + _PI / 4          # log delta1
         a2 = _PI * k + _ATAN2           # log delta2
+        log_t2 = dtheta * ln2 + dc * a2  # log t(delta2), the window's largest value
+        if log_t2 >= _MAX_BITS * ln2:
+            raise InvalidParameter(f"window values reach 2^{log_t2 / ln2:.6g}, beyond a double")
         delta1 = float(a1.exp())
         delta2 = float(a2.exp())
         n1_f = float((dc * a1).exp())
-        t2 = (dtheta * decimal.Decimal(2).ln() + dc * a2).exp()
-        n_star = int(t2.to_integral_value(decimal.ROUND_HALF_EVEN))
+        n_star = int(log_t2.exp().to_integral_value(decimal.ROUND_HALF_EVEN))
     x = delta2
     tau = x ** (1.0 - c - epsilon)
     if tau >= 0.25:

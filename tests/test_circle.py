@@ -203,13 +203,11 @@ def test_expansion_residual_rejections():
 def test_sum_samples_tags_and_values(table2, block2, w2):
     alphas = [0.0, 0.25, -0.3]
     got = sum_samples("prime", alphas, w2, values=table2, logs=block2.logs)
-    assert [s.alpha for s in got] == alphas
-    assert all(s.kind == "prime" for s in got)
-    assert got[0].value == prime_exp_sum(table2, block2.logs, 0.0)
+    assert got == [prime_exp_sum(table2, block2.logs, a) for a in alphas]
     sm = sum_samples("smooth", [0.1], w2)
-    assert sm[0].value == smooth_exp_sum(w2, 0.1)
+    assert sm == [smooth_exp_sum(w2, 0.1)]
     it = sum_samples("integer", [0.1], w2)
-    assert it[0].value == integer_exp_sum(w2, 0.1)
+    assert it == [integer_exp_sum(w2, 0.1)]
     with pytest.raises(InvalidParameter):
         sum_samples("cubes", [0.1], w2)
     with pytest.raises(InvalidParameter):
@@ -267,12 +265,12 @@ def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
             alphas = _BIT_ALPHAS + _edge_alphas(freq)
             want = [_hex(_exp_sum_reference(coeff, freq, a)) for a in alphas]
             got = sum_samples(kind, alphas, w, values=table, logs=block.logs)
-            assert [_hex(s.value) for s in got] == want, kind
-            assert [_hex(circle._exp_sum(coeff, freq, a)) for a in alphas] == want
+            assert [_hex(z) for z in got] == want, kind
+            assert [_hex(circle._exp_sums(coeff, freq, [a])[0]) for a in alphas] == want
             # den = len(freq) exactly, and den = 2 len(freq)
             n = 1 << (len(freq).bit_length() - 1)
             for a in (1 / n, -3 / n, 1 / (2 * n), 3 / (2 * n)):
-                assert (_hex(circle._exp_sum(coeff[:n], freq[:n], a))
+                assert (_hex(circle._exp_sums(coeff[:n], freq[:n], [a])[0])
                         == _hex(_exp_sum_reference(coeff[:n], freq[:n], a)))
 
 
@@ -306,7 +304,7 @@ def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
             *sum_samples("smooth", bad, w2),
             *sum_samples("integer", bad, w2),
         ]
-        values = [s.value for s in samples] + [
+        values = samples + [
             f(a) for a in bad for f in (
                 lambda a: prime_exp_sum(table2, block2.logs, a),
                 lambda a: smooth_exp_sum(w2, a),
@@ -319,7 +317,7 @@ def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
 
 def test_sum_samples_reuse_bits_equal_single_calls(table3, block3, w3, monkeypatch):
     # one terms array serves every alpha of a sum_samples call: a list of
-    # alphas, mixing both paths, gives the bits of one _exp_sum per alpha
+    # alphas, mixing both paths, gives the bits of one _exp_sums call per alpha
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
@@ -327,8 +325,8 @@ def test_sum_samples_reuse_bits_equal_single_calls(table3, block3, w3, monkeypat
     m, wt = grid_weights(w3)
     alphas = [0.3, -0.5 + 5 / 16, 1 / 3, 0.0, -0.5 + 1 / 12, 0.5]
     with pool.threads(2):
-        got = [_hex(s.value) for s in sum_samples("smooth", alphas, w3)]
-    assert got == [_hex(circle._exp_sum(wt, m, a)) for a in alphas]
+        got = [_hex(z) for z in sum_samples("smooth", alphas, w3)]
+    assert got == [_hex(circle._exp_sums(wt, m, [a])[0]) for a in alphas]
 
 
 def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):

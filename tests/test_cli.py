@@ -1,10 +1,18 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import tanprimes
+from tanprimes import window_from_index
 from tanprimes.cli import main
+from tanprimes.errors import ParameterWarning
 
 
 def run(capsys, *argv):
@@ -361,6 +369,58 @@ def test_failed_run_keeps_out_file(capsys, tmp_path):
     code, _, _ = run(capsys, "window", "--k", "2", "--c", "0.5", "--out", str(dest))
     assert code == 3
     assert dest.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("values", "--k", "2", "--c", "20"),
+    ("values", "--k", "2", "--c", "200"),
+    ("scan", "--k", "2", "--c", "200", "--band", "-1:1"),
+    ("window", "--k", "2", "--c", "200"),
+    ("window", "--k", "2", "--c", "1e308"),
+])
+def test_values_past_the_double_fraction_refused(capsys, argv):
+    # from 2^52 on a double keeps no fractional part to certify, and past
+    # 2^1023 the window's own fields leave the double range: one error line
+    # and exit 3, not a false AmbiguousFloor, an overflow traceback or an
+    # Infinity in the JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterWarning)
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: window values reach ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("values", "--k", "7"),
+    ("binary", "--k", "7"),
+    ("expsum", "--k", "7", "--kind", "prime"),
+    ("expsum", "--k", "6", "--kind", "integer"),
+])
+def test_table_size_guard_fires_before_work(argv):
+    # k=7 may hold 2.7e8 primes (2y/ln y), the k=6 integer table has 1.28e8
+    # rows: refused before any sieving or tabulating. A subprocess under a
+    # timeout, so a missing guard fails here instead of filling the memory.
+    src = pathlib.Path(tanprimes.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-m", "tanprimes.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines()[-1].startswith("resource guard: value table of up to ")
+
+
+def test_table_size_guard_admits_k6_primes():
+    # 2y/ln y = 1.37e7 primes at k=6 is under 2^24, so values --k 6 still runs
+    from tanprimes.errors import TooLarge
+    from tanprimes.seqeval import check_window_table
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w5, w6 = (window_from_index(k, 1.02, 1.5) for k in (5, 6))
+    check_window_table(w6, primes=True)
+    check_window_table(w5, primes=False)
+    with pytest.raises(TooLarge):
+        check_window_table(w6, primes=False)
 
 
 def test_domain_error_exit(capsys):

@@ -25,6 +25,13 @@ def test_matches_oracle_to_1e5():
     assert np.array_equal(blk.primes, oracle)
 
 
+def test_every_small_upper_bound():
+    # the base primes come from the sieve itself, one level down; its
+    # smallest cases, where the recursion stops, against the oracle
+    for b in range(2, 300):
+        assert sieve_segment(0, b).primes.tolist() == simple_primes(b).tolist(), b
+
+
 def test_half_open_resolution():
     # (10.7, 19.3] resolves to integer range (10, 19]
     blk = sieve_segment(10.7, 19.3)

@@ -328,7 +328,7 @@ def _column_fsums(x):
     units = repcount._slice_units(float(x.max()), float(np.min(x, where=x > 0, initial=np.inf)))
     acc = np.zeros((len(units), x.shape[1]))
     repcount._add_slices(x.copy(), units, acc)
-    return repcount._join_slices(acc, units)
+    return repcount._join_slices(acc)
 
 
 def test_exact_sums_where_plain_sums_fail():
@@ -351,6 +351,13 @@ def test_exact_sums_where_plain_sums_fail():
     assert np.sum(segments[0]) != math.fsum(segments[0])
     for g, seg in zip(got.tolist(), segments):
         assert g.hex() == math.fsum(seg).hex(), seg[:3]
+
+
+def test_slice_join_rounds_once():
+    # the 2^-60 slice breaks the tie of 2^53 + 1 upward; joining the slice
+    # sums one add at a time would round the tie to even first and lose it
+    terms = [2.0 ** 53, 1.0, 2.0 ** -60]
+    assert _column_fsums(np.array(terms)[:, None])[0] == math.fsum(terms) == 2.0 ** 53 + 2
 
 
 def test_exact_sums_near_ties_with_many_terms():
@@ -485,6 +492,19 @@ def test_scan_rejections(table2, block2):
         scan_band(table2, block2.logs, 9400, 9300)
     with pytest.raises(BandTooWide):
         scan_band(table2, block2.logs, 0, 2 * 10**6)
+
+
+def test_repeated_floor_refused(table2, block2, w2):
+    # the rint counts assume 0/1 multiplicities: a repeated floor among those
+    # the table reads is refused by name, not counted twice
+    f = table2.f.copy()
+    f[10] = f[9]
+    dup = type(table2)(n=table2.n, f=f, frac=table2.frac, certified=table2.certified)
+    repeated = f"{int(f[9])} follows {int(f[9])}"
+    with pytest.raises(InvalidParameter, match=repeated):
+        scan_band(dup, block2.logs, w2.n_star - 1, w2.n_star + 1)
+    with pytest.raises(InvalidParameter, match=repeated):
+        build_pair_map(dup, block2.logs)
 
 
 def test_scan_csv_shape(table2, block2, w2, tmp_path):
