@@ -153,8 +153,13 @@ def _scan_columns(scan: repcount.BandScan) -> dict:
 
 
 def _band_scan(a, lo: int, hi: int):
-    """Scan of n_star + [lo, hi], refused before sieving if the pair map would be."""
+    """Scan of n_star + [lo, hi], refused before sieving if the table or the pair map would be.
+
+    The value check comes first, so a window past 2^52 exits 3 here as it
+    does from values and binary.
+    """
     w, _ = _window(a)
+    check_window_table(w, primes=True)
     repcount.check_pair_span(repcount.pair_span_bound(w, w.n_star + hi))
     values, logs = _table(w)
     return w, repcount.scan_band(values, logs, w.n_star + lo, w.n_star + hi, w=w)

@@ -9,14 +9,19 @@ and the major-arc half width tau.
 
 All operations are pure; forward_map / invert_map / weight accept scalars
 or numpy arrays and return matching shapes (python floats for scalars).
-invert_map and weight solve arrays in chunks of _NEWTON_CHUNK points, on
-the thread pool when the CLI opened one (see tanprimes.pool); every point
-follows its own trajectory, so the bits depend on neither.
+invert_map and weight start each target from a cubic Hermite interpolant
+through a per-window table of _START_NODES nodes, solved once by a
+bracketed Newton and cached, and take one Newton step; the weight reuses
+the tan(log y) of the residual check. Arrays are solved in chunks of
+_NEWTON_CHUNK points, on the thread pool when the CLI opened one (see
+tanprimes.pool); every result depends only on its target and the window,
+so the bits depend on neither, nor on whether the target came alone.
 """
 from __future__ import annotations
 
 import dataclasses
 import decimal
+import functools
 import math
 import warnings
 
@@ -36,7 +41,9 @@ from .errors import (
 ARCTAN2 = math.atan(2.0)
 C_SUP = 23.0 / 21.0  # admissible exponent supremum, derived in exponents.py
 _DIGITS = 50         # construction precision in decimal digits, rounded to float at the end
-_MAX_BITS = 1023     # t(delta2) must stay below 2^_MAX_BITS, inside the double range
+# t(delta2) must stay below 10^_NSTAR_DIGITS, so n_star is exact with digits to spare
+# (and every field is far inside the double range)
+_NSTAR_DIGITS = _DIGITS - 10
 # pi and arctan 2 to 66 digits, the constants decimal lacks
 _PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494459231")
 _ATAN2 = decimal.Decimal("1.10714871779409050301706546017853704007004764540143264667653920743")
@@ -44,7 +51,8 @@ _ATAN2 = decimal.Decimal("1.1071487177940905030170654601785370400700476454014326
 # invert_map accepts targets slightly above t(delta2): n_star is the nearest
 # integer to t(delta2) and may round upward by as much as 1/2.
 _UPPER_SLACK = 0.5
-_NEWTON_CHUNK = 2 ** 15  # targets per Newton solve in invert_map
+_NEWTON_CHUNK = 2 ** 15  # targets per chunk in invert_map and weight
+_START_NODES = 4096      # nodes of the per-window Hermite start table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,9 +105,9 @@ def window_from_index(k: int, c: float, theta: float, epsilon: float = 0.05) -> 
 
     Endpoints are computed in decimal at _DIGITS significant digits and
     rounded once to float; n_star is the nearest integer (ties to even) to
-    2^theta*delta2^c, exact while it has well under _DIGITS digits. A
-    window whose largest value t(delta2) reaches 2^_MAX_BITS is refused
-    before any exponential, so every field is a finite double.
+    2^theta*delta2^c. A window whose largest value t(delta2) reaches
+    10^(_DIGITS - 10) is refused before any exponential, so n_star keeps
+    10 digits past its units digit and every field is a finite double.
     """
     if int(k) != k or k < 0:
         raise InvalidParameter(f"k must be a nonnegative integer, got {k}")
@@ -107,12 +115,15 @@ def window_from_index(k: int, c: float, theta: float, epsilon: float = 0.05) -> 
     _check_params(c, theta, epsilon)
     with decimal.localcontext(decimal.Context(prec=_DIGITS)):
         dc, dtheta = decimal.Decimal(float(c)), decimal.Decimal(float(theta))
-        ln2 = decimal.Decimal(2).ln()
+        ln10 = decimal.Decimal(10).ln()
         a1 = _PI * k + _PI / 4          # log delta1
         a2 = _PI * k + _ATAN2           # log delta2
-        log_t2 = dtheta * ln2 + dc * a2  # log t(delta2), the window's largest value
-        if log_t2 >= _MAX_BITS * ln2:
-            raise InvalidParameter(f"window values reach 2^{log_t2 / ln2:.6g}, beyond a double")
+        log_t2 = dtheta * decimal.Decimal(2).ln() + dc * a2  # log t(delta2), the largest value
+        if log_t2 >= _NSTAR_DIGITS * ln10:
+            raise InvalidParameter(
+                f"window values reach 10^{log_t2 / ln10:.6g}, beyond the "
+                f"10^{_NSTAR_DIGITS} below which n_star is exact"
+            )
         delta1 = float(a1.exp())
         delta2 = float(a2.exp())
         n1_f = float((dc * a1).exp())
@@ -196,18 +207,19 @@ def image_interval(w: WindowParams) -> tuple[float, float]:
     return t1, t2
 
 
-def _newton(ta, w: WindowParams, t1: float, t2: float):
-    # Bracketed Newton for one chunk of targets, iterating only on the
+def _newton(ta, w: WindowParams):
+    # Bracketed Newton for a flat array of targets, iterating only on the
     # points still moving: a point retires (its y written back) once its
     # residual is within tol (or NaN) or a step no longer changes it.
-    # Each point follows its own trajectory, so neither the chunking nor
-    # the retiring of other points changes its bits.
+    # Each point follows its own trajectory. It solves the nodes of the
+    # start table and any point whose start was too far for one step; the
+    # caller checks the residual.
     c, theta = w.c, w.theta
+    t1, t2 = image_interval(w)
     lo = np.full_like(ta, w.delta1 * (1.0 - 1e-12))
     hi = np.full_like(ta, w.delta2 + 1.0)
     ya = np.clip(w.delta1 + (ta - t1) * ((w.delta2 - w.delta1) / (t2 - t1)), lo, hi)
     tol = 8.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(ta))
-    t_all = ta
     y = np.empty_like(ta)
     idx = np.arange(len(ta))
     for _ in range(200):
@@ -227,37 +239,105 @@ def _newton(ta, w: WindowParams, t1: float, t2: float):
         moving = ~done
         idx, ya, ta, tol, lo, hi = (v[moving] for v in (idx, y_new, ta, tol, lo, hi))
     y[idx] = ya
-
-    resid = np.abs(_t_raw(y, c, theta) - t_all)
-    if np.any(resid > 1e-9 * np.maximum(1.0, np.abs(t_all))):
-        raise NoConvergence("Newton inversion stalled; this should be unreachable")
     return y
 
 
-def _solve(t, w: WindowParams, finish):
-    # finish(y) for y = the inverse of each target, solved and finished in
-    # chunks of _NEWTON_CHUNK on the pool; each chunk writes only its slice.
-    # Targets are range-checked and made float64 a chunk at a time, so no
-    # full-length temporary is made, and every chunk is checked before any
-    # is solved.
+def _checked_tan(y, ta, w: WindowParams):
+    # tan(log y) at each solved y, once t(y) is within 1e-9 relative of
+    # its target (a NaN fails too)
+    tn = np.tan(np.log(y))
+    resid = np.abs(y ** w.c * tn ** w.theta - ta)  # |_t_raw(y) - ta|
+    if not np.all(resid <= 1e-9 * np.maximum(1.0, np.abs(ta))):
+        raise NoConvergence("Newton inversion stalled; this should be unreachable")
+    return tn
+
+
+def _weight_at(y, tn, ty, w: WindowParams):
+    # dy/dt = 1/t'(y) = y tan / (t(y) (c tan + theta sec^2)), from
+    # tan = tan(log y) and ty = t(y)
+    return y * tn / (ty * (w.c * tn + w.theta * (1.0 + tn * tn)))
+
+
+@functools.lru_cache(maxsize=8)
+def _start_table(w: WindowParams):
+    # Cubic Hermite pieces of the inverse between _START_NODES targets
+    # t_j = t1 + j h spanning [t1, t2 + _UPPER_SLACK], each node solved by
+    # the bracketed Newton: row i of pieces holds the coefficients of v^i,
+    # for v = (t - t1)/h - j in [0, 1] on piece j, matching y and
+    # dy/dv = h * weight at both of its nodes. Returns (t1, 1/h, pieces).
+    t1, t2 = image_interval(w)
+    h = (t2 + _UPPER_SLACK - t1) / (_START_NODES - 1)
+    tj = t1 + h * np.arange(_START_NODES)
+    y = _newton(tj, w)
+    s = h * _weight_at(y, _checked_tan(y, tj, w), tj, w)
+    d = np.diff(y)
+    s0, s1 = s[:-1], s[1:]
+    pieces = np.stack([y[:-1], s0, 3.0 * d - 2.0 * s0 - s1, s0 + s1 - 2.0 * d])
+    pieces.flags.writeable = False  # shared by every caller
+    return t1, 1.0 / h, pieces
+
+
+def _hermite_start(ta, start):
+    # the start table's cubic at each target; its temporaries go when it
+    # returns, so a chunk's working set stays small
+    t1, inv_h, pieces = start
+    x = (ta - t1) * inv_h
+    # truncation puts x in (-1, 0), a target a hair below t1, on piece 0
+    j = np.minimum(x.astype(np.intp), pieces.shape[1] - 1)
+    v = x - j
+    a0, a1, a2, a3 = (row[j] for row in pieces)
+    return a0 + v * (a1 + v * (a2 + v * a3))
+
+
+def _newton_step(y, ta, w: WindowParams):
+    # y - (t(y) - ta) / t'(y)
+    tn = np.tan(np.log(y))
+    ty = y ** w.c * tn ** w.theta
+    return y - (ty - ta) * _weight_at(y, tn, ty, w)
+
+
+def _invert_chunk(ta, w: WindowParams, start):
+    # y = t^-1(ta) and tan(log y) for one chunk of targets: the Hermite
+    # start, one Newton step, the bracketed Newton for any point that step
+    # moved by more than 2^-30 relative (none for 1.001 <= c <= 3 and
+    # 0.25 <= theta <= 5, where the start is within 1.6e-10), then the
+    # residual check. Every point's bits depend only on its target and w.
+    y0 = _hermite_start(ta, start)
+    y = _newton_step(y0, ta, w)
+    far = ~(np.abs(y - y0) <= 2.0 ** -30 * y)
+    if far.any():
+        y[far] = _newton(ta[far], w)
+    return y, _checked_tan(y, ta, w)
+
+
+def _solve(t, w: WindowParams, weights: bool):
+    # y, or the weight when weights is set, for each target, solved in
+    # chunks of _NEWTON_CHUNK on the pool; each chunk writes only its
+    # slice. Targets are made float64 a chunk at a time, so no full-length
+    # temporary is made, and are range-checked before any is solved.
     t_arr = np.atleast_1d(np.asarray(t))
     t1, t2 = image_interval(w)
+    if t_arr.size:
+        # the slack grows with |t|, so the smallest and the largest target
+        # pass exactly when all do; a NaN fails both comparisons
+        lo, hi = float(t_arr.min()), float(t_arr.max())
+        if not (lo >= t1 - 1e-9 * max(1.0, abs(lo))
+                and hi <= t2 + _UPPER_SLACK + 1e-9 * max(1.0, abs(hi))):
+            raise OutOfRange(
+                f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
+            )
     starts = range(0, len(t_arr), _NEWTON_CHUNK)
 
     def targets(start):
         return np.asarray(t_arr[start:start + _NEWTON_CHUNK], dtype=np.float64)
 
-    for start in starts:
-        ta = targets(start)
-        slack = 1e-9 * np.maximum(1.0, np.abs(ta))
-        if np.any(ta < t1 - slack) or np.any(ta > t2 + _UPPER_SLACK + slack):
-            raise OutOfRange(
-                f"target outside the forward image [{t1!r}, {t2!r}] (+{_UPPER_SLACK} slack)"
-            )
+    table = _start_table(w)
     out = np.empty(t_arr.shape)
 
     def run(start):
-        out[start:start + _NEWTON_CHUNK] = finish(_newton(targets(start), w, t1, t2))
+        ta = targets(start)
+        y, tn = _invert_chunk(ta, w, table)
+        out[start:start + _NEWTON_CHUNK] = _weight_at(y, tn, ta, w) if weights else y
 
     pool.map_chunks(run, starts)
     return out
@@ -266,35 +346,29 @@ def _solve(t, w: WindowParams, finish):
 def invert_map(t, w: WindowParams):
     """Inverse of the forward map: the y with t(y) = t.
 
-    Bracketed Newton iteration with bisection fallback; converges to
-    machine precision, guaranteed within 1e-9 relative residual. Accepts
-    t up to t(delta2) + 1/2 because n_star may round upward. Targets are
-    solved in chunks of _NEWTON_CHUNK, on the thread pool when one is open
-    (see tanprimes.pool), so the working arrays stay small; every point
-    follows its own trajectory, so the bits depend on neither.
+    Starts from a cubic Hermite interpolant through a per-window table of
+    _START_NODES solved nodes and takes one Newton step, which lands at
+    the rounding noise of t(y); the residual is checked to 1e-9 relative
+    (NoConvergence otherwise). Accepts t up to t(delta2) + 1/2 because
+    n_star may round upward. Targets are solved in chunks of
+    _NEWTON_CHUNK, on the thread pool when one is open (see
+    tanprimes.pool); every result depends only on its target and w, so
+    the bits are the same for a scalar, an array, any chunk size and any
+    pool width.
     """
-    y = _solve(t, w, lambda y: y)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(y[0])
-    return y
-
-
-def _weight_of(y, w: WindowParams):
-    ly = np.log(y)
-    tn = np.tan(ly)
-    sec2 = 1.0 + tn * tn
-    return y ** (1.0 - w.c) / ((w.c * tn + w.theta * sec2) * tn ** (w.theta - 1.0))
+    y = _solve(t, w, weights=False)
+    return float(y[0]) if np.isscalar(t) or np.ndim(t) == 0 else y
 
 
 def weight(m, w: WindowParams):
     """dy/dt at target value m: the smooth coefficient attached to m.
 
-    Equals y^(1-c) / ((c tan(log y) + theta sec^2(log y)) tan^(theta-1)(log y))
-    at y = invert_map(m); the reciprocal of the forward derivative. Arrays
-    are inverted and weighted chunk by chunk, like invert_map, so no
-    full-length temporary is made.
+    The reciprocal of the forward derivative
+    y^(c-1) tan^(theta-1)(log y) (c tan(log y) + theta sec^2(log y)) at
+    y = invert_map(m), computed as y tan / (m (c tan + theta sec^2)), which
+    is the same at t(y) = m, from the tan(log y) of the residual check.
+    Arrays are inverted and weighted chunk by chunk, like invert_map, so
+    no full-length temporary is made.
     """
-    if np.isscalar(m) or np.ndim(m) == 0:
-        # a 0-d array, whose ufuncs return numpy scalars: the scalar bits
-        return float(_weight_of(np.asarray(invert_map(m, w)), w))
-    return _solve(m, w, lambda y: _weight_of(y, w))
+    wt = _solve(m, w, weights=True)
+    return float(wt[0]) if np.isscalar(m) or np.ndim(m) == 0 else wt

@@ -282,17 +282,21 @@ def test_compare_columns_bits_equal_row_oracle(capsys, table3, block3, w3):
 
 
 def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
-    # the targets are range-checked and made float64 a chunk at a time and
-    # the int64 grid is passed as is: on a pool of 2 the grid, its weights
-    # and a chunk of temporaries per thread stay under 3.5 times the grid's
-    # bytes (2.6 measured); a float64 copy of the grid and full-length
-    # range-check temporaries took 4.6
+    # the targets are range-checked by their min and max and made float64
+    # a chunk at a time, and the int64 grid is passed as is: on a pool of 2
+    # the grid, its weights, the window's start table (solved cold here, so
+    # its node solve counts) and a chunk of temporaries per thread stay
+    # under 3.5 times the grid's bytes (2.8 measured in a fresh pytest
+    # process, the pool's first import included; 2.6 with both warm); a
+    # float64 copy of the grid and full-length range-check temporaries
+    # took 4.6
     import tracemalloc
 
     from tanprimes import pool
     from tanprimes import window as window_mod
 
     monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", 2 ** 10)
+    window_mod._start_table.cache_clear()
     with pool.threads(2):
         tracemalloc.start()
         try:

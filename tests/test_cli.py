@@ -127,21 +127,21 @@ def test_compare_deterministic_across_threads(capsys, monkeypatch, args):
 
 
 def test_pool_runs_chunks_on_its_threads(capsys, monkeypatch):
-    # --threads 2 solves Newton chunks on the pool's threads, --threads 1
-    # on the calling thread only
+    # --threads 2 solves the inversion's chunks on the pool's threads,
+    # --threads 1 on the calling thread only
     import threading
 
     from tanprimes import window
     from tanprimes.asymptotics import grid_weights
 
     names = set()
-    newton = window._newton
+    invert_chunk = window._invert_chunk
 
     def spy(*a):
         names.add(threading.current_thread().name)
-        return newton(*a)
+        return invert_chunk(*a)
 
-    monkeypatch.setattr(window, "_newton", spy)
+    monkeypatch.setattr(window, "_invert_chunk", spy)
     monkeypatch.setattr(window, "_NEWTON_CHUNK", 4096)
     for threads in ("1", "2"):
         grid_weights.cache_clear()
@@ -377,12 +377,16 @@ def test_failed_run_keeps_out_file(capsys, tmp_path):
     ("scan", "--k", "2", "--c", "200", "--band", "-1:1"),
     ("window", "--k", "2", "--c", "200"),
     ("window", "--k", "2", "--c", "1e308"),
+    ("scan", "--k", "2", "--c", "6", "--band", "-1:1"),
+    ("count", "--k", "2", "--c", "6"),
+    ("window", "--k", "2", "--c", "20"),
 ])
 def test_values_past_the_double_fraction_refused(capsys, argv):
-    # from 2^52 on a double keeps no fractional part to certify, and past
-    # 2^1023 the window's own fields leave the double range: one error line
-    # and exit 3, not a false AmbiguousFloor, an overflow traceback or an
-    # Infinity in the JSON
+    # from 2^52 on a double keeps no fractional part to certify (the pair
+    # commands check that before their pair-span guard), and from 10^40 on
+    # the 50-digit construction cannot make n_star exact: one error line
+    # and exit 3, not a false AmbiguousFloor, a pair-span exit 4, an n_star
+    # with made-up trailing digits or an Infinity in the JSON
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
         code, out, err = run(capsys, *argv)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import quiet_window
@@ -19,6 +19,7 @@ from tanprimes import (
 )
 from tanprimes.errors import (
     InvalidParameter,
+    NoConvergence,
     NoExactWindow,
     OutOfRange,
     OutOfWindow,
@@ -89,6 +90,20 @@ def test_window_constants_match_mpmath(k):
             w = quiet_window(k, c, theta)
             got = (w.delta1, w.delta2, w.n1, w.n_star)
             assert got == _mpmath_window(k, c, theta), (k, c, theta)
+
+
+def test_n_star_exact_up_to_the_digit_cut():
+    # just under 10^40 n_star is the nearest integer to the 120-digit
+    # value of 2^theta delta2^c; just over, the window is refused
+    import mpmath as mp
+
+    w = quiet_window(2, 12.32, 1.5)
+    with mp.workdps(120):
+        top = mp.mpf(2) ** mp.mpf(1.5) * mp.exp(mp.mpf(12.32) * (2 * mp.pi + mp.atan(2)))
+        want = int(mp.nint(top))
+    assert 10 ** 39 < w.n_star == want < 10 ** 40
+    with pytest.raises(InvalidParameter, match="^window values reach 10"):
+        quiet_window(2, 12.33, 1.5)
 
 
 def test_window_literals_match_mpmath():
@@ -187,7 +202,7 @@ def test_invert_scalar_matches_vector():
 
 def _newton_reference(t_arr, w):
     # Bracketed Newton on every point at once, with done points masked
-    # rather than dropped: the arithmetic invert_map must reproduce.
+    # rather than dropped: the arithmetic of the start table's node solve.
     t1, t2 = image_interval(w)
     lo = np.full_like(t_arr, w.delta1 * (1.0 - 1e-12))
     hi = np.full_like(t_arr, w.delta2 + 1.0)
@@ -211,17 +226,40 @@ def _newton_reference(t_arr, w):
     return y
 
 
-def _weight_reference(y, w):
-    # the weight formula on the whole array at once, as before the chunking
+def _weight_reference(y, ty, w):
+    # 1/t'(y) = y tan / (t(y) (c tan + theta sec^2)), with t(y) given as ty
     tn = np.tan(np.log(y))
-    sec2 = 1.0 + tn * tn
-    return y ** (1.0 - w.c) / ((w.c * tn + w.theta * sec2) * tn ** (w.theta - 1.0))
+    return y * tn / (ty * (w.c * tn + w.theta * (1.0 + tn * tn)))
+
+
+def _invert_reference(t_arr, w, nodes):
+    # The whole-array arithmetic invert_map and weight must reproduce: a
+    # cubic Hermite start through `nodes` masked-Newton solves evenly
+    # spaced over [t1, t2 + 1/2], then one Newton step on every point.
+    # Returns y, the weights and each point's relative step.
+    t1, t2 = image_interval(w)
+    h = (t2 + 0.5 - t1) / (nodes - 1)
+    tj = t1 + h * np.arange(nodes)
+    yj = _newton_reference(tj, w)
+    sj = h * _weight_reference(yj, tj, w)
+    d = np.diff(yj)
+    a2 = 3.0 * d - 2.0 * sj[:-1] - sj[1:]
+    a3 = sj[:-1] + sj[1:] - 2.0 * d
+    x = (t_arr - t1) * (1.0 / h)
+    j = np.minimum(x.astype(np.intp), nodes - 2)
+    v = x - j
+    y0 = yj[j] + v * (sj[j] + v * (a2[j] + v * a3[j]))
+    ty = y0 ** w.c * np.tan(np.log(y0)) ** w.theta
+    y = y0 - (ty - t_arr) * _weight_reference(y0, ty, w)
+    return y, _weight_reference(y, t_arr, w), np.abs(y - y0) / y
 
 
 def test_invert_bits_equal_masked_newton(monkeypatch):
     # whole grid of a k=3 window, plus the endpoints and the top slack, in
     # chunks that leave a short last one, serially and on a pool of 2: every
-    # y and every weight bit-identical to the whole-array references
+    # y and every weight bit-identical to the whole-array reference, whose
+    # start table is solved by the masked Newton and whose one step is
+    # small enough that no point falls back to the bracketed solve
     from tanprimes import pool
     from tanprimes import window as window_mod
 
@@ -230,13 +268,106 @@ def test_invert_bits_equal_masked_newton(monkeypatch):
         t1, t2 = image_interval(w)
         m = np.arange(math.floor(w.n1) + 1, w.n_star + 1, dtype=np.float64)
         ts = np.concatenate([m, [t1, t2, t2 + 0.5], np.linspace(t1, t2, 1001)])
-        want = _newton_reference(ts, w)
-        want_wt = _weight_reference(want, w)
+        want, want_wt, step = _invert_reference(ts, w, window_mod._START_NODES)
+        assert np.max(step) <= 2.0 ** -30
         for chunk, width in ((default, 1), (1000, 1), (default, 2)):
             monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", chunk)
             with pool.threads(width):
                 assert invert_map(ts, w).tobytes() == want.tobytes()
                 assert weight(ts, w).tobytes() == want_wt.tobytes()
+
+
+def test_far_start_falls_back_to_bracketed_newton(monkeypatch):
+    # at c = 20 the start table's pieces near t1 are too coarse for one
+    # step; those points take the bracketed solve, and every point stays
+    # within a few ulp of it
+    from tanprimes import window as window_mod
+
+    w = quiet_window(0, 20.0, 1.5)
+    t1, t2 = image_interval(w)
+    ts = np.linspace(t1, t2 + 0.5, 20001)
+    calls = []
+    newton = window_mod._newton
+
+    def spy(ta, w):
+        calls.append(len(ta))
+        return newton(ta, w)
+
+    window_mod._start_table.cache_clear()
+    monkeypatch.setattr(window_mod, "_newton", spy)
+    y = invert_map(ts, w)
+    assert calls[0] == window_mod._START_NODES  # the node solve
+    assert 0 < sum(calls[1:]) < len(ts) // 10   # the far starts only
+    want = _newton_reference(ts, w)
+    assert np.all(np.abs(y - want) <= 16 * np.spacing(want))
+
+
+def test_bad_solve_raises_no_convergence(monkeypatch):
+    # the residual check stays: a solve gone wrong (here every node and
+    # every fallback answering delta1) ends in NoConvergence, not a silent y
+    from tanprimes import window as window_mod
+
+    monkeypatch.setattr(window_mod, "_newton", lambda ta, w: np.full_like(ta, w.delta1))
+    window_mod._start_table.cache_clear()
+    try:
+        with pytest.raises(NoConvergence):
+            invert_map(image_interval(_W2)[1], _W2)
+    finally:
+        window_mod._start_table.cache_clear()
+
+
+def _mp_inverse(t, w):
+    # y with t(y) = t and its weight 1/t'(y), at 200 bits
+    import mpmath as mp
+
+    with mp.workprec(200):
+        c, theta, tt = mp.mpf(w.c), mp.mpf(w.theta), mp.mpf(t)
+        y = mp.findroot(lambda y: y ** c * mp.tan(mp.log(y)) ** theta - tt,
+                        mp.mpf(float(_newton_reference(np.array([t]), w)[0])))
+        tn = mp.tan(mp.log(y))
+        return y, y ** (1 - c) / ((c * tn + theta * (1 + tn * tn)) * tn ** (theta - 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_invert_and_weight_match_mpmath(k):
+    # 120 seeded targets, half on the integer grid: y within 4 eps and
+    # the weight within 40 eps relative of the 200-bit inverse (3.4 and
+    # 5.3 eps measured at worst; the bracketed Newton and the old weight
+    # formula read 3.1 and 26.8)
+    import mpmath as mp
+
+    eps = np.finfo(np.float64).eps
+    w = quiet_window(k, 1.02, 1.5) if k > 2 else _W2
+    t1, t2 = image_interval(w)
+    rng = np.random.default_rng(1700 + k)
+    ts = np.concatenate([rng.uniform(t1, t2 + 0.5, 60),
+                         rng.integers(math.floor(w.n1) + 1, w.n_star + 1, 60).astype(np.float64)])
+    ys, wts = invert_map(ts, w), weight(ts, w)
+    for t, y, wt in zip(ts, ys, wts):
+        y_mp, wt_mp = _mp_inverse(float(t), w)
+        assert abs(mp.mpf(float(y)) - y_mp) <= 4 * eps * y_mp, (k, t)
+        assert abs(mp.mpf(float(wt)) - wt_mp) <= 40 * eps * wt_mp, (k, t)
+
+
+@given(c=st.floats(1.001, 3.0), theta=st.floats(0.25, 5.0), k=st.integers(0, 3),
+       u=st.floats(0.0, 1.0))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_invert_over_the_parameter_plane(c, theta, k, u):
+    # any target in [t1, t2 + 1/2]: relative residual within 1e-12, y
+    # within 16 ulp of the bracketed Newton, and a scalar target gives
+    # the bits of the same target inside an array
+    w = quiet_window(k, c, theta)
+    t1, t2 = image_interval(w)
+    t = min(t1 + u * (t2 + 0.5 - t1), t2 + 0.5)
+    note(f"c={c!r} theta={theta!r} k={k} t={t!r}")
+    y = invert_map(t, w)
+    ty = y ** c * math.tan(math.log(y)) ** theta
+    assert abs(ty - t) <= 1e-12 * t
+    y_b = _newton_reference(np.array([t]), w)[0]
+    assert abs(y - y_b) <= 16 * np.spacing(y_b)
+    ts = np.array([t1, t, t2])
+    assert invert_map(ts, w)[1] == y
+    assert weight(ts, w)[1] == weight(t, w)
 
 
 def test_invert_accepts_rounding_slack_above_top():
@@ -251,6 +382,8 @@ def test_invert_rejects_outside_slack():
         invert_map(t2 + 0.6, _W2)
     with pytest.raises(OutOfRange):
         invert_map(t1 - 1.0, _W2)
+    with pytest.raises(OutOfRange):
+        weight(np.array([t1, np.nan, t2]), _W2)
 
 
 def test_solve_for_target_roundtrip():
