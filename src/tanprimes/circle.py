@@ -8,6 +8,10 @@ with integer frequencies:
   integer_exp_sum  over all integers in the window, coefficient 1, frequency f(n).
 
 Each is sum_samples at one alpha, which returns the complex sums of a kind.
+The full-circle quadrature sums the prime sum at every grid point, and the
+Fourier residual sums c_h e(h y) over |h| <= H at every y: all of them
+take their sums from one kernel, _exp_sums, the only code that forms the
+phases alpha * freq.
 
 Because frequencies are integers, alpha*freq is reduced mod 1 before the
 exponential, as x - floor(x), which has the bits of np.mod(x, 1.0);
@@ -15,24 +19,27 @@ values at alpha and alpha+1 are then bit-identical, and the full-circle
 uniform quadrature of the cubed prime sum reproduces the representation
 count exactly once the grid beats 3*max(f).
 
-A dyadic alpha = num/2^d (every point of a power-of-two --grid) reads
-e(alpha*f) from a table of the 2^d roots of unity at index (num*f) mod 2^d,
-when 2^d is at most the number of terms and |num|*max|f| < 2^53. The phase
-is then exact, each root is the np.exp the per-term path would call, and
-the sum keeps its bits; any other alpha exponentiates each term.
+A sum walks the tree of numpy's pairwise sum over its terms: each leaf of
+at most _TERM_CHUNK terms builds its terms and sums them as one task, on
+the thread pool when the caller opened one (see tanprimes.pool), and the
+leaves join as numpy joins them. No array of every term is held, and the
+bits are those of one np.sum over such an array, whatever the chunk or
+the pool width. A short sum (at most 1 024 terms) is one leaf, and a task
+takes a block of up to _TERM_CHUNK // n alphas over it as one 2-D array
+whose rows np.sum(axis=1) adds with those same bits.
+
+A longer sum takes one alpha per task, and there a dyadic alpha = num/2^d
+(every point of a power-of-two --grid) reads e(alpha*f) from a table of
+the 2^d roots of unity at index (num*f) mod 2^d, when 2^d is at most the
+number of terms and |num|*max|f| < 2^53. The phase is then exact, each
+root is the np.exp the per-term path would call, and the sum keeps its
+bits; any other alpha exponentiates each term.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
 the trapezoid's endpoint halves applied: the O(grid * primes) exponentials
 are paid once, and each further target costs one O(grid) contraction with
 the same bits as a cold call.
-
-One sum at one alpha walks the tree of numpy's pairwise sum over its
-terms: each node of at most _TERM_CHUNK terms builds its terms and sums
-them as one task, on the thread pool when the CLI opened one (see
-tanprimes.pool), and the nodes above join as numpy joins them. No array of
-every term is held, and the bits are those of one np.sum over such an
-array, whatever the chunk or the pool width.
 """
 from __future__ import annotations
 
@@ -96,9 +103,10 @@ def _pairwise_layout(start: int, n: int, leaf: int):
     return (_pairwise_layout(start, half, leaf), _pairwise_layout(start + half, n - half, leaf))
 
 
-def _join_layout(node, sums) -> complex:
-    # The sum of a node from its leaves' sums (an iterator, in order): a
-    # complex add is numpy's join, real + real and imag + imag.
+def _join_layout(node, sums) -> np.ndarray:
+    # The sums of a node from its leaves' sums (an iterator of arrays, one
+    # sum per alpha, in order): a complex add is numpy's join, real + real
+    # and imag + imag.
     if isinstance(node, slice):
         return next(sums)
     return _join_layout(node[0], sums) + _join_layout(node[1], sums)
@@ -108,44 +116,60 @@ def _flat_leaves(node) -> list[slice]:
     return [node] if isinstance(node, slice) else _flat_leaves(node[0]) + _flat_leaves(node[1])
 
 
-def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> list[complex]:
-    # Sum of coeff * e(alpha * freq) at each alpha, with the phase reduced
-    # mod 1 first; exact at integer alpha. The sum walks numpy's pairwise
-    # tree over the whole array of terms: each node of at most
-    # max(_TERM_CHUNK, 64) terms is one pool task that builds its terms and
-    # returns their np.sum, and the nodes above join as numpy joins them.
-    # So no array of every term is ever held, and the bits are those of one
-    # np.sum over that array, whatever the chunk or the pool width.
+def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
+    # Sum of e(alpha * freq) * coeff at each alpha (floats, as a list or an
+    # array), with the phase reduced mod 1 first; exact at integer alpha. The only place that forms the
+    # phases alpha * freq. Each sum walks numpy's pairwise tree over the
+    # whole array of terms: each leaf of at most max(_TERM_CHUNK, 64) terms
+    # is one pool task that builds its terms and returns their np.sum, and
+    # the leaves join as numpy joins them. So no array of every term is
+    # ever held, and the bits are those of one np.sum over that array,
+    # whatever the chunk or the pool width.
     #
-    # A dyadic alpha = num/den (every point of a power-of-two grid) takes
-    # e(alpha * f) from a table of den roots of unity, with the same bits:
-    # |num * f| < 2^53, so alpha * f = num * f / den is exact in float64 and
-    # num * f exact in int64; its phase is exactly r/den, r = (num * f) mod
-    # den, which the mask with den - 1 gives for either sign. Root r is
-    # np.exp of the float the general path hands np.exp for that phase, and
-    # the coefficient multiplies it as before. Any other alpha (non-dyadic,
-    # non-finite, too large, or over frequencies of a non-integer dtype)
-    # takes the general path.
-    layout = _pairwise_layout(0, len(freq), max(_TERM_CHUNK, 64))
-    leaves = _flat_leaves(layout)
+    # A short sum, of n terms with at least 64 alphas to a _TERM_CHUNK
+    # (n <= 1024 by default), is one leaf; a task takes a block of up to
+    # _TERM_CHUNK // n alphas over it as one 2-D array of terms and sums
+    # each row with np.sum(axis=1), the pairwise sum of a lone row; a block
+    # exponentiates every term. A longer sum keeps its table instead (k=4's
+    # 17 656 primes at --grid 256, on a 2-vCPU box: 0.36 s in blocks of 3
+    # alphas, 0.02 s with it): one alpha per task per leaf, and there a dyadic
+    # alpha = num/den (every point of a power-of-two grid) takes e(alpha * f)
+    # from a table of den roots of unity, with the same bits: |num * f| <
+    # 2^53, so alpha * f = num * f / den is exact in float64 and num * f
+    # exact in int64; its phase is exactly r/den, r = (num * f) mod den,
+    # which the mask with den - 1 gives for either sign. Root r is np.exp of
+    # the float the general path hands np.exp for that phase. Any other
+    # alpha (non-dyadic, non-finite, too large, or over frequencies of a
+    # non-integer dtype) exponentiates each term.
+    #
+    # The exponential multiplies the coefficient, never the other way: for
+    # complex coefficients numpy's product is not bit-commutative.
+    n = len(freq)
+    layout = _pairwise_layout(0, n, max(_TERM_CHUNK, 64))
+    block = _TERM_CHUNK // max(n, 1) if 64 * n <= _TERM_CHUNK else 1
     f_bound = _freq_bound(freq)
-    sums = []
-    for alpha in alphas:
-        ratio = _dyadic(alpha, len(freq), f_bound)
-        if ratio is None:
-            def run(chunk):
-                return np.sum(coeff[chunk] * np.exp(2j * np.pi * _frac(alpha * freq[chunk])))
+
+    def run(task):
+        rows, leaf, table = task
+        if table is None:
+            terms = np.exp(2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[leaf])))
         else:
-            num, den = ratio
-            roots = np.exp(2j * np.pi * (np.arange(den) / den))
+            num, roots = table
+            r = num * freq[leaf].astype(np.int64, copy=False)
+            r &= len(roots) - 1
+            terms = roots[r][None, :]
+        terms *= coeff[leaf]  # in place: a fresh product array costs page faults
+        return np.sum(terms, axis=1)
 
-            def run(chunk):
-                r = num * freq[chunk].astype(np.int64, copy=False)
-                r &= den - 1
-                return np.sum(coeff[chunk] * roots[r])
-
-        sums.append(complex(_join_layout(layout, iter(pool.map_chunks(run, leaves)))))
-    return sums
+    leaves = _flat_leaves(layout)
+    blocks = [slice(s, s + block) for s in range(0, len(alphas), block)]
+    tasks = []
+    for rows in blocks:
+        ratio = _dyadic(float(alphas[rows.start]), n, f_bound) if block == 1 else None
+        table = ratio and (ratio[0], np.exp(2j * np.pi * (np.arange(ratio[1]) / ratio[1])))
+        tasks += [(rows, leaf, table) for leaf in leaves]
+    sums = iter(pool.map_chunks(run, tasks))
+    return np.concatenate([np.empty(0, complex)] + [_join_layout(layout, sums) for _ in blocks])
 
 
 def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float) -> complex:
@@ -180,6 +204,8 @@ def _terms(kind: str, w: WindowParams | None, values: ValueTable | None,
         if values is None or logs is None:
             raise InvalidParameter("prime sums need the value table and log weights")
         return log_weights(values, logs), values.f
+    if w is None and kind in ("smooth", "integer"):
+        raise InvalidParameter(f"{kind} sums need the window")
     if kind == "smooth":
         m, wt = grid_weights(w)
         return wt, m
@@ -203,32 +229,23 @@ def sum_samples(
     A prime sum reads values and logs, the other two the window w.
     """
     coeff, freq = _terms(kind, w, values, logs)
-    return _exp_sums(coeff, freq, [float(a) for a in alphas])
+    return _exp_sums(coeff, freq, [float(a) for a in alphas]).tolist()
 
 
 @functools.lru_cache(maxsize=_CUBED_SUM_CACHE)
 def _cubed_sums(
     f_bytes: bytes, log_bytes: bytes, a: float, b: float, M: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    # Per alpha chunk of the grid a + j h, j = 0..M: the alphas and S(alpha)^3,
-    # halved at j = 0 and M for the trapezoid (exact, so it keeps the bits of
-    # halving those integrands). Read-only, since every caller shares them.
-    f = np.frombuffer(f_bytes, dtype=np.float64)
+) -> tuple[np.ndarray, np.ndarray]:
+    # The grid a + j h, j = 0..M, and the prime sum cubed on it, halved at
+    # j = 0 and M for the trapezoid (exact, so it keeps the bits of halving
+    # those integrands). Read-only, since every caller shares them.
+    f = np.frombuffer(f_bytes, dtype=np.int64)
     logs = np.frombuffer(log_bytes, dtype=np.float64)
-    h = (b - a) / M
-    chunks = []
-    for start in range(0, M + 1, _ALPHA_CHUNK):
-        j = np.arange(start, min(start + _ALPHA_CHUNK, M + 1), dtype=np.float64)
-        alphas = a + j * h
-        phases = _frac(alphas[:, None] * f[None, :])
-        S = np.sum(np.exp(2j * np.pi * phases) * logs[None, :], axis=1)
-        chunks.append((alphas, S ** 3))
-    chunks[0][1][0] *= 0.5
-    chunks[-1][1][-1] *= 0.5
-    for alphas, S3 in chunks:
-        alphas.flags.writeable = False
-        S3.flags.writeable = False
-    return tuple(chunks)
+    alphas = a + np.arange(M + 1, dtype=np.float64) * ((b - a) / M)
+    S3 = _exp_sums(logs, f, alphas) ** 3
+    S3[[0, M]] *= 0.5
+    alphas.flags.writeable = S3.flags.writeable = False
+    return alphas, S3
 
 
 def circle_integral(
@@ -266,10 +283,10 @@ def circle_integral(
             GridTooCoarseWarning,
             stacklevel=2,
         )
-    chunks = _cubed_sums(values.f.astype(np.float64).tobytes(), logs.tobytes(), a, b, M)
+    alphas, S3 = _cubed_sums(values.f.astype(np.int64).tobytes(), logs.tobytes(), a, b, M)
     total = 0.0 + 0.0j
-    for alphas, S3 in chunks:
-        total += complex(np.sum(S3 * np.exp(-2j * np.pi * _frac(alphas * N))))
+    for chunk in (slice(s, s + _ALPHA_CHUNK) for s in range(0, M + 1, _ALPHA_CHUNK)):
+        total += complex(np.sum(S3[chunk] * np.exp(-2j * np.pi * _frac(alphas[chunk] * N))))
     return total * ((b - a) / M)
 
 
@@ -298,7 +315,7 @@ def fourier_expansion_residual(y_grid, x: float, H: int) -> dict:
     # integer x degenerates (every coefficient 0, one denominator 0); the
     # Singular raised by fourier_coeff is the documented behaviour there.
     cs = np.array([fourier_coeff(x, int(h)) for h in hs])
-    rhs = np.sum(np.exp(2j * np.pi * np.mod(y[:, None] * hs[None, :], 1.0)) * cs[None, :], axis=1)
+    rhs = _exp_sums(cs, hs, y)
     resid = np.abs(lhs - rhs)
     norm = np.minimum(fy, 1.0 - fy)
     bound = np.minimum(1.0, 1.0 / (H * np.maximum(norm, 1e-300)))

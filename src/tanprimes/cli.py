@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import asymptotics, circle, exponents, pool, repcount
-from .errors import TanprimesError, UsageError
+from .errors import BandTooWide, TanprimesError, UsageError
 from .primesieve import sieve_segment
 from .seqeval import check_window_table, table_to_csv, value_table, write_csv
 from .window import WindowParams, solve_for_target, weight, window_from_index
@@ -130,6 +130,7 @@ def _cmd_window(a):
     return lambda: {**dataclasses.asdict(w), **extra}, None
 
 
+_GRID_GUARD = 10 ** 6  # expsum alphas, the row cap of a scan's band
 _SCAN_FMT = "%d,%d,%.12g\n"                 # N,count,weighted
 _COMPARE_FMT = "%d,%d,%.12g,%.12g,%.12g\n"   # ... then main_term,ratio
 
@@ -212,6 +213,8 @@ def _cmd_expsum(a):
     w, _ = _window(a)
     if a.grid < 1:
         raise UsageError("--grid must be a positive integer")
+    if a.grid > _GRID_GUARD:
+        raise BandTooWide(f"--grid {a.grid} exceeds {_GRID_GUARD} alphas")
     values, logs = _table(w) if a.kind == "prime" else (None, None)
     alphas = [-0.5 + j / a.grid for j in range(a.grid)]
     z = circle.sum_samples(a.kind, alphas, w, values, logs)

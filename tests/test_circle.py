@@ -212,6 +212,10 @@ def test_sum_samples_tags_and_values(table2, block2, w2):
         sum_samples("cubes", [0.1], w2)
     with pytest.raises(InvalidParameter):
         sum_samples("prime", [0.1], w2)
+    # the window sums refuse a missing window, as the prime sum a missing table
+    for kind in ("smooth", "integer"):
+        with pytest.raises(InvalidParameter):
+            sum_samples(kind, [0.1], None)
 
 
 def _exp_sum_reference(coeff, freq, alpha):
@@ -315,9 +319,12 @@ def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
     assert all(math.isnan(z.real) and math.isnan(z.imag) for z in values)
 
 
-def test_sum_samples_reuse_bits_equal_single_calls(table3, block3, w3, monkeypatch):
+def test_sum_samples_reuse_bits_equal_single_calls(table2, block2, w2, w3, monkeypatch):
     # one terms array serves every alpha of a sum_samples call: a list of
-    # alphas, mixing both paths, gives the bits of one _exp_sums call per alpha
+    # alphas, mixing both paths, gives the bits of one _exp_sums call per alpha.
+    # The 63 k=2 primes are a short sum, whose alphas share one 2-D block of
+    # terms, dyadic ones (-3/16, 0, 1/2) among the rest; they also match the
+    # whole-array reference, which exponentiates every term.
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
@@ -326,7 +333,11 @@ def test_sum_samples_reuse_bits_equal_single_calls(table3, block3, w3, monkeypat
     alphas = [0.3, -0.5 + 5 / 16, 1 / 3, 0.0, -0.5 + 1 / 12, 0.5]
     with pool.threads(2):
         got = [_hex(z) for z in sum_samples("smooth", alphas, w3)]
+        primes = [_hex(z) for z in sum_samples("prime", alphas, w2, values=table2, logs=block2.logs)]
     assert got == [_hex(circle._exp_sums(wt, m, [a])[0]) for a in alphas]
+    assert len(table2) == 63
+    assert primes == [_hex(circle._exp_sums(block2.logs, table2.f, [a])[0]) for a in alphas]
+    assert primes == [_hex(_exp_sum_reference(block2.logs, table2.f, a)) for a in alphas]
 
 
 def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
@@ -406,15 +417,62 @@ def _circle_integrals_reference(values, logs, Ns, interval, M):
     return [total * ((b - a) / M) for total in totals]
 
 
-def test_quadrature_phases_bits_equal_np_mod(table2, block2, w2):
-    # floor phases give the np.mod bits: the crosscheck job's full circle and
-    # major arc at its 24 seed-1 targets
+@pytest.fixture(scope="module")
+def crosscheck_reference(table2, block2, w2):
+    # .hex() of the reference at the crosscheck job's full circle and major
+    # arc, 24 seed-1 targets each
     M = 3 * int(table2.f.max()) + 1
     Ns = [w2.n_star + off for off in SEED1_OFFSETS]
-    for interval, grid in (((0.0, 1.0), M), ((-w2.tau, w2.tau), 4096)):
-        want = _circle_integrals_reference(table2, block2.logs, Ns, interval, grid)
-        got = [circle_integral(table2, block2.logs, N, interval, grid) for N in Ns]
-        assert [_hex(z) for z in got] == [_hex(z) for z in want], interval
+    return {interval: (grid, Ns, [_hex(z) for z in _circle_integrals_reference(
+                table2, block2.logs, Ns, interval, grid)])
+            for interval, grid in (((0.0, 1.0), M), ((-w2.tau, w2.tau), 4096))}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("chunk", [None, 1, 7, 10 ** 9])
+def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_reference, monkeypatch,
+                                             chunk, width):
+    # floor phases give the np.mod bits: the crosscheck job's full circle and
+    # major arc at its 24 seed-1 targets, at every pool width and term chunk.
+    # At chunk 1 and 7 the 63-term prime sum takes one alpha per task, at
+    # the default and 10^9 a block of alphas per task.
+    from tanprimes import pool
+
+    if chunk is not None:
+        monkeypatch.setattr(circle, "_TERM_CHUNK", chunk)
+    for interval, (grid, Ns, want) in crosscheck_reference.items():
+        circle._cubed_sums.cache_clear()
+        with pool.threads(width):
+            got = [circle_integral(table2, block2.logs, N, interval, grid) for N in Ns]
+        assert [_hex(z) for z in got] == want, interval
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_expansion_residual_bits_equal_np_mod(monkeypatch, chunk):
+    # the right-hand side comes from _exp_sums: every returned statistic has
+    # the bits of a 2-D np.mod reference, on a /16 grid of y and a
+    # non-dyadic one. The 2H+1 complex coefficients are a short sum, taken
+    # in blocks of y; at chunk 7 each y is its own task, and a dyadic y
+    # reads the roots-of-unity table.
+    if chunk is not None:
+        monkeypatch.setattr(circle, "_TERM_CHUNK", chunk)
+    for y in (np.arange(-40, 41) / 16, np.linspace(0.05, 0.95, 200)):
+        for H in (16, 256):
+            x = 0.37
+            fy = np.mod(y, 1.0)
+            lhs = np.exp(-2j * np.pi * x * fy)
+            hs = np.arange(-H, H + 1)
+            cs = np.array([fourier_coeff(x, int(h)) for h in hs])
+            rhs = np.sum(np.exp(2j * np.pi * np.mod(y[:, None] * hs[None, :], 1.0)) * cs[None, :], axis=1)
+            resid = np.abs(lhs - rhs)
+            norm = np.minimum(fy, 1.0 - fy)
+            ratio = resid / np.minimum(1.0, 1.0 / (H * np.maximum(norm, 1e-300)))
+            want = {"points": len(y), "mean_residual": float(np.mean(resid)),
+                    "max_residual": float(np.max(resid)), "mean_ratio": float(np.mean(ratio)),
+                    "max_ratio": float(np.max(ratio))}
+            got = fourier_expansion_residual(y, x, H)
+            assert {k: float(v).hex() for k, v in got.items()} == \
+                {k: float(v).hex() for k, v in want.items()}, H
 
 
 def test_quadrature_cache_keyed_by_log_bits(table2, block2, w2):
@@ -433,9 +491,10 @@ def test_quadrature_cache_keyed_by_log_bits(table2, block2, w2):
 def test_quadrature_cache_read_only(table2, block2):
     circle._cubed_sums.cache_clear()
     circle_integral(table2, block2.logs, 9378, (0.0, 0.5), 64)
-    key = (table2.f.astype(np.float64).tobytes(),
+    key = (np.asarray(table2.f, dtype=np.int64).tobytes(),
            np.asarray(block2.logs, dtype=np.float64).tobytes(), 0.0, 0.5, 64)
-    alphas, S3 = circle._cubed_sums(*key)[0]
+    alphas, S3 = circle._cubed_sums(*key)
+    assert alphas.shape == S3.shape == (65,)
     assert circle._cubed_sums.cache_info().hits == 1
     with pytest.raises(ValueError):
         S3[0] = 0.0

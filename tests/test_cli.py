@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -320,6 +321,21 @@ def test_resource_guard_exit(capsys):
     )
     assert code == 4
     assert "resource guard" in err
+
+
+def test_expsum_grid_guard_fires_before_work():
+    # 10^6 + 1 alphas are refused before the alpha list, the sieve or the
+    # grid weights are built: a subprocess under a timeout, so a missing
+    # guard fails here instead of filling the memory
+    src = pathlib.Path(tanprimes.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tanprimes.cli", "expsum", "--k", "2",
+                           "--grid", "1000001"],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines()[-1] == "resource guard: --grid 1000001 exceeds 1000000 alphas"
+    assert time.perf_counter() - start < 2
 
 
 def test_bad_threads_env(capsys, monkeypatch):
