@@ -28,12 +28,14 @@ the pool width. A short sum (at most 1 024 terms) is one leaf, and a task
 takes a block of up to _TERM_CHUNK // n alphas over it as one 2-D array
 whose rows np.sum(axis=1) adds with those same bits.
 
-A longer sum takes one alpha per task, and there a dyadic alpha = num/2^d
-(every point of a power-of-two --grid) reads e(alpha*f) from a table of
-the 2^d roots of unity at index (num*f) mod 2^d, when 2^d is at most the
-number of terms and |num|*max|f| < 2^53. The phase is then exact, each
-root is the np.exp the per-term path would call, and the sum keeps its
-bits; any other alpha exponentiates each term.
+A longer sum runs its alphas one after another, one task per leaf, and
+there a dyadic alpha = num/2^d (every point of a power-of-two --grid)
+reads e(alpha*f) from a table of the 2^d roots of unity at index
+(num*f) mod 2^d, when 2^d is at most the number of terms and
+|num|*max|f| < 2^53. The table is built for that alpha alone, so one is
+held at a time. The phase is then exact, each root is the np.exp the
+per-term path would call, and the sum keeps its bits; any other alpha
+exponentiates each term.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
@@ -118,13 +120,13 @@ def _flat_leaves(node) -> list[slice]:
 
 def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     # Sum of e(alpha * freq) * coeff at each alpha (floats, as a list or an
-    # array), with the phase reduced mod 1 first; exact at integer alpha. The only place that forms the
-    # phases alpha * freq. Each sum walks numpy's pairwise tree over the
-    # whole array of terms: each leaf of at most max(_TERM_CHUNK, 64) terms
-    # is one pool task that builds its terms and returns their np.sum, and
-    # the leaves join as numpy joins them. So no array of every term is
-    # ever held, and the bits are those of one np.sum over that array,
-    # whatever the chunk or the pool width.
+    # array), with the phase reduced mod 1 first; exact at integer alpha.
+    # The only place that forms the phases alpha * freq. Each sum walks
+    # numpy's pairwise tree over the whole array of terms: each leaf of at
+    # most max(_TERM_CHUNK, 64) terms is one pool task that builds its terms
+    # and returns their np.sum, and the leaves join as numpy joins them. So
+    # no array of every term is ever held, and the bits are those of one
+    # np.sum over that array, whatever the chunk or the pool width.
     #
     # A short sum, of n terms with at least 64 alphas to a _TERM_CHUNK
     # (n <= 1024 by default), is one leaf; a task takes a block of up to
@@ -132,9 +134,10 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     # each row with np.sum(axis=1), the pairwise sum of a lone row; a block
     # exponentiates every term. A longer sum keeps its table instead (k=4's
     # 17 656 primes at --grid 256, on a 2-vCPU box: 0.36 s in blocks of 3
-    # alphas, 0.02 s with it): one alpha per task per leaf, and there a dyadic
-    # alpha = num/den (every point of a power-of-two grid) takes e(alpha * f)
-    # from a table of den roots of unity, with the same bits: |num * f| <
+    # alphas, 0.02 s with it): the alphas run one after another, each with
+    # one task per leaf, and a dyadic alpha = num/den (every point of a
+    # power-of-two grid) takes e(alpha * f) from a table of den roots of
+    # unity, built for that alpha alone, with the same bits: |num * f| <
     # 2^53, so alpha * f = num * f / den is exact in float64 and num * f
     # exact in int64; its phase is exactly r/den, r = (num * f) mod den,
     # which the mask with den - 1 gives for either sign. Root r is np.exp of
@@ -146,11 +149,10 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     # complex coefficients numpy's product is not bit-commutative.
     n = len(freq)
     layout = _pairwise_layout(0, n, max(_TERM_CHUNK, 64))
-    block = _TERM_CHUNK // max(n, 1) if 64 * n <= _TERM_CHUNK else 1
+    leaves = _flat_leaves(layout)
     f_bound = _freq_bound(freq)
 
-    def run(task):
-        rows, leaf, table = task
+    def run(rows, table, leaf):
         if table is None:
             terms = np.exp(2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[leaf])))
         else:
@@ -161,15 +163,18 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
         terms *= coeff[leaf]  # in place: a fresh product array costs page faults
         return np.sum(terms, axis=1)
 
-    leaves = _flat_leaves(layout)
-    blocks = [slice(s, s + block) for s in range(0, len(alphas), block)]
-    tasks = []
-    for rows in blocks:
-        ratio = _dyadic(float(alphas[rows.start]), n, f_bound) if block == 1 else None
+    def one(i):  # the sum at alphas[i], from its own table if it has one
+        ratio = _dyadic(float(alphas[i]), n, f_bound)
         table = ratio and (ratio[0], np.exp(2j * np.pi * (np.arange(ratio[1]) / ratio[1])))
-        tasks += [(rows, leaf, table) for leaf in leaves]
-    sums = iter(pool.map_chunks(run, tasks))
-    return np.concatenate([np.empty(0, complex)] + [_join_layout(layout, sums) for _ in blocks])
+        sums = pool.map_chunks(functools.partial(run, slice(i, i + 1), table), leaves)
+        return _join_layout(layout, iter(sums))[0]
+
+    if 64 * n > _TERM_CHUNK:
+        return np.array([one(i) for i in range(len(alphas))], dtype=complex)
+    block = _TERM_CHUNK // max(n, 1)
+    blocks = [slice(s, s + block) for s in range(0, len(alphas), block)]
+    sums = pool.map_chunks(functools.partial(run, table=None, leaf=layout), blocks)
+    return np.concatenate([np.empty(0, complex)] + sums)
 
 
 def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float) -> complex:
@@ -204,15 +209,15 @@ def _terms(kind: str, w: WindowParams | None, values: ValueTable | None,
         if values is None or logs is None:
             raise InvalidParameter("prime sums need the value table and log weights")
         return log_weights(values, logs), values.f
-    if w is None and kind in ("smooth", "integer"):
+    if kind not in ("smooth", "integer"):
+        raise InvalidParameter(f"unknown sum kind {kind!r}")
+    if w is None:
         raise InvalidParameter(f"{kind} sums need the window")
     if kind == "smooth":
         m, wt = grid_weights(w)
         return wt, m
-    if kind == "integer":
-        freq = _integer_freqs(w)
-        return np.ones(len(freq)), freq
-    raise InvalidParameter(f"unknown sum kind {kind!r}")
+    freq = _integer_freqs(w)
+    return np.ones(len(freq)), freq
 
 
 def sum_samples(
@@ -239,10 +244,8 @@ def _cubed_sums(
     # The grid a + j h, j = 0..M, and the prime sum cubed on it, halved at
     # j = 0 and M for the trapezoid (exact, so it keeps the bits of halving
     # those integrands). Read-only, since every caller shares them.
-    f = np.frombuffer(f_bytes, dtype=np.int64)
-    logs = np.frombuffer(log_bytes, dtype=np.float64)
     alphas = a + np.arange(M + 1, dtype=np.float64) * ((b - a) / M)
-    S3 = _exp_sums(logs, f, alphas) ** 3
+    S3 = _exp_sums(np.frombuffer(log_bytes), np.frombuffer(f_bytes, dtype=np.int64), alphas) ** 3
     S3[[0, M]] *= 0.5
     alphas.flags.writeable = S3.flags.writeable = False
     return alphas, S3
