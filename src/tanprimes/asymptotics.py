@@ -19,11 +19,12 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import BandTooWide, InvalidParameter
-from .repcount import BandScan, self_convolution
+from .repcount import BandScan, _add_slices, _slice_units, self_convolution
 from .window import WindowParams, weight
 
 _GRID_GUARD = 10 ** 7
@@ -184,12 +185,28 @@ def compare_report(scan: BandScan, w: WindowParams) -> BandComparison:
     return BandComparison(mt, scan.weighted / mt if mt > 0 else np.zeros(len(scan)))
 
 
+def _exact_mean(x: np.ndarray) -> float:
+    """statistics.mean of x's entries: their exact sum divided by len(x), rounded once.
+
+    A finite column below 2^970 is cut into exact slice sums (repcount's
+    _add_slices), which add up as a few Fractions; any other column takes
+    statistics.mean itself.
+    """
+    mag = np.abs(x)
+    top = float(mag.max())
+    if not top < 2.0 ** 970:          # NaN, an infinity, or too large to cut
+        return statistics.mean(x.tolist())
+    units = _slice_units(top, float(np.min(mag, where=mag > 0, initial=np.inf)), len(x))
+    acc = np.zeros((len(units), 1))
+    _add_slices(x[:, None].copy(), units, acc)
+    return float(sum(map(Fraction, acc[:, 0].tolist())) / len(x))
+
+
 def band_stats(scan: BandScan, cmp: BandComparison) -> dict:
     """Band summary: positive rate and mean/median ratio (the mean exact, rounded once)."""
-    ratios = cmp.ratio.tolist()
     return {
-        "n": len(ratios),
+        "n": len(cmp.ratio),
         "positive_rate": int(np.count_nonzero(scan.count > 0)) / len(scan),
-        "mean_ratio": statistics.mean(ratios),
-        "median_ratio": statistics.median(ratios),
+        "mean_ratio": _exact_mean(cmp.ratio),
+        "median_ratio": statistics.median(cmp.ratio.tolist()),
     }

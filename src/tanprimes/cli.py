@@ -7,8 +7,8 @@ per-point layers for this run (see tanprimes.pool); no output bit depends
 on it, and the width is back to 1 when main returns.
 
 Each subcommand runs on the argparse namespace and returns two callables,
-one building its JSON object and one writing its CSV text (None where only
-JSON exists), both from the same named columns when the output is a table;
+one writing its JSON and one writing its CSV text (None where only JSON
+exists), both from the same named columns when the output is a table;
 main calls only the one the --format asks for.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import dataclasses
 import errno
-import json
 import os
 import sys
 import warnings
@@ -28,7 +27,7 @@ import numpy as np
 from . import asymptotics, circle, exponents, pool, repcount
 from .errors import BandTooWide, TanprimesError, UsageError
 from .primesieve import sieve_segment
-from .seqeval import check_window_table, table_to_csv, value_table, write_csv
+from .seqeval import check_window_table, table_to_csv, value_table, write_csv, write_json
 from .window import WindowParams, solve_for_target, weight, window_from_index
 
 
@@ -127,7 +126,7 @@ def _table(w: WindowParams):
 def _cmd_window(a):
     w, residual = _window(a)
     extra = {} if residual is None else {"solve_residual": residual}
-    return lambda: {**dataclasses.asdict(w), **extra}, None
+    return lambda fh: write_json({**dataclasses.asdict(w), **extra}, fh), None
 
 
 _GRID_GUARD = 10 ** 6  # expsum alphas, the row cap of a scan's band
@@ -135,18 +134,15 @@ _SCAN_FMT = "%d,%d,%.12g\n"                 # N,count,weighted
 _COMPARE_FMT = "%d,%d,%.12g,%.12g,%.12g\n"   # ... then main_term,ratio
 
 
-def _rows(cols: dict) -> list[dict]:
-    return [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
-
-
 def _columns_out(cols: dict, fmt: str, **extra):
     """JSON {"rows": ..., **extra} and the CSV of the same columns."""
-    return lambda: {"rows": _rows(cols), **extra}, lambda fh: write_csv(cols, fmt, fh)
+    return lambda fh: write_json(extra, fh, rows=cols), lambda fh: write_csv(cols, fmt, fh)
 
 
 def _row_out(cols: dict, fmt: str, **extra):
     """A one-row table: its JSON holds the row's fields and extra at the top level."""
-    return lambda: {**_rows(cols)[0], **extra}, lambda fh: write_csv(cols, fmt, fh)
+    row = {name: col.tolist()[0] for name, col in cols.items()}
+    return lambda fh: write_json({**row, **extra}, fh), lambda fh: write_csv(cols, fmt, fh)
 
 
 def _scan_columns(scan: repcount.BandScan) -> dict:
@@ -180,7 +176,7 @@ def _cmd_scan(a):
 def _cmd_compare(a):
     w, scan = _band_scan(a, *a.band)
     cmp = asymptotics.compare_report(scan, w)
-    cols = {**_scan_columns(scan), "main_term": np.full(len(scan), cmp.main_term),
+    cols = {**_scan_columns(scan), "main_term": np.broadcast_to(cmp.main_term, len(scan)),
             "ratio": cmp.ratio}
     return _columns_out(cols, _COMPARE_FMT, stats=asymptotics.band_stats(scan, cmp),
                         window=dataclasses.asdict(w))
@@ -190,14 +186,15 @@ def _cmd_binary(a):
     w, _ = _window(a)
     N = w.n_star + a.offset
     pair = repcount.find_binary(_table(w)[0], N)
-    return lambda: {"N": N, "pair": list(pair) if pair is not None else None}, None
+    obj = {"N": N, "pair": list(pair) if pair is not None else None}
+    return lambda fh: write_json(obj, fh), None
 
 
 def _cmd_values(a):
     w, _ = _window(a)
     values, _logs = _table(w)
     cols = {"n": values.n, "f": values.f, "frac": values.frac, "certified": values.certified}
-    return (lambda: {"rows": _rows(cols), "window": dataclasses.asdict(w)},
+    return (lambda fh: write_json({"window": dataclasses.asdict(w)}, fh, rows=cols),
             lambda fh: table_to_csv(values, fh))
 
 
@@ -234,8 +231,8 @@ def _cmd_exponents(a):
             fh.write(f"{row['step']},{row['exponent']},{row['at_boundary']},\"{row['note']}\"\n")
         fh.write(f"prior_bounds_sorted,{' < '.join(str(b) for b in ordered)},,\n")
 
-    return (lambda: {"chain": table, "admissible_c": str(exponents.admissible_c()),
-                     "prior_bounds_sorted": [str(b) for b in ordered]},
+    return (lambda fh: write_json({"chain": table, "admissible_c": str(exponents.admissible_c()),
+                                   "prior_bounds_sorted": [str(b) for b in ordered]}, fh),
             to_csv)
 
 
@@ -326,10 +323,7 @@ def main(argv=None) -> int:
             _check_out(a.out_path)
             to_json, to_csv = a.run(a)
             with _open_out(a.out_path) as fh:
-                if to_csv is None or a.out_format == "json":
-                    fh.write(json.dumps(to_json(), sort_keys=True) + "\n")
-                else:
-                    to_csv(fh)
+                (to_json if to_csv is None or a.out_format == "json" else to_csv)(fh)
         return 0
     except TanprimesError as exc:
         prefix = {2: "usage error", 4: "resource guard"}.get(exc.exit_code, "error")

@@ -10,12 +10,14 @@ far. A loop over every ordered pair, looking the third floor up, serves as
 the independent oracle. Ordered triples are counted, diagonals included.
 
 The weighted sum over p_3 of each target is exact until one final rounding:
-every product is cut without error into integer slices of at most 26 bits
-on units fixed once per band, each slice is summed exactly in float64 (a
-target has at most 2^25 terms), and math.fsum joins the slice sums. The
-result is the correctly rounded sum, the same bits as math.fsum of the
-products, whatever the order or the blocking. A band comes back as one
-BandScan of columns; report(i) is one target's row.
+every product is cut without error into integer slices on units fixed once
+per band, 52 - rows.bit_length() bits wide for the rows that can meet a
+target (26 bits at the 2^25 bound, 42 for the 992 primes of k = 3), each
+slice is summed exactly in float64, and the slice sums are joined: one add
+for two slices (the correctly rounded sum of two exact floats), math.fsum
+for more. The result is the correctly rounded sum, the same bits as
+math.fsum of the products, whatever the order or the blocking. A band
+comes back as one BandScan of columns; report(i) is one target's row.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ _PAIR_SPAN_GUARD = 1 << 26   # dense pair arrays beyond this would eat memory
 _BAND_GUARD = 10 ** 6
 _MEET_CHUNK = 1 << 16      # products the band meet gathers at once (at least one row)
 _MEET_TARGETS = 1 << 12    # targets of one block of the band meet
-_SLICE_BITS = 26           # width of the exact-sum slices; see _add_slices
 
 
 @dataclass(frozen=True)
@@ -204,18 +205,23 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
     return _pair_map_from_arrays(values.f, log_weights(values, logs))
 
 
-def _slice_units(top: float, small: float) -> range:
+def _slice_units(top: float, small: float, rows: int) -> range:
     """Exponents u, highest first, of the 2^u units of the exact-sum slices.
 
-    top bounds every value to be cut, 0 < small <= top bounds every nonzero
-    one from below, and top < 2^970; with top = 0 every value is 0 and one
-    slice holds them. The lowest unit 2^lo is at most the ulp of small, so
-    it divides every value; the highest is at least top's exponent - 26.
+    top bounds the magnitude of every value to be cut, 0 < small <= top
+    bounds every nonzero one from below, top < 2^970, and a column of
+    values summed at once has at most rows >= 1 of them. Slices are
+    w = 52 - rows.bit_length() bits wide (26 at 2^25 rows), so that rows
+    parts of at most 2^w units sum below 2^52 units. With top = 0 every
+    value is 0 and one slice holds them. The lowest unit 2^lo is at most
+    the ulp of small, so it divides every value; the highest is at least
+    top's exponent - w.
     """
+    width = 52 - rows.bit_length()
     if top == 0.0:
-        return range(0, -1, -_SLICE_BITS)
+        return range(0, -1, -width)
     lo = max(math.frexp(small)[1] - 53, -1074)
-    return range(lo + (math.frexp(top)[1] - lo - 1) // _SLICE_BITS * _SLICE_BITS, lo - 1, -_SLICE_BITS)
+    return range(lo + (math.frexp(top)[1] - lo - 1) // width * width, lo - 1, -width)
 
 
 def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
@@ -223,12 +229,14 @@ def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
 
     x is overwritten. Every x is cut without error: with C = 1.5*2^(u+52)
     the ulp of rest + C is 2^u, so (rest + C) - C is rest rounded to a
-    multiple of 2^u, and it and rest - part are exact (Sterbenz). A part is
-    at most 2^26 units of 2^u in the top slice (x < 2^(u+26)) and 2^25 below
-    it (|rest| is at most half the unit above); the last slice is the rest
-    itself, a multiple of 2^lo. While a column of acc gathers at most 2^25
-    nonzero values, every partial sum of slice j is an integer below 2^51 units of
-    2^units[j], so float64 adds it exactly, in any order and any blocking.
+    multiple of 2^u, and it and rest - part are exact (Sterbenz). With w
+    the slice width of units (at most 51), a part is at most 2^w units of
+    2^u in the top slice (|x| <= 2^(u+w)) and 2^(w-1) below it (|rest| is
+    at most half the unit above); the last slice is the rest itself, a
+    multiple of 2^lo. While a column of acc gathers at most the rows that
+    _slice_units was given, every partial sum of slice j is an integer
+    below 2^52 units of 2^units[j], so float64 adds it exactly, in any
+    order and any blocking.
     """
     part = np.empty_like(x)
     for j, u in enumerate(units[:-1]):
@@ -240,7 +248,14 @@ def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
 
 
 def _join_slices(acc: np.ndarray) -> np.ndarray:
-    """math.fsum of each column of acc: _add_slices keeps every slice sum exact."""
+    """Correctly rounded sum of each column of acc, whose slice sums _add_slices keeps exact.
+
+    One slice is its own sum, and two join in one add: the float sum of two
+    exact floats is their real sum, correctly rounded, as math.fsum gives
+    it. Three or more go through math.fsum.
+    """
+    if len(acc) <= 2:
+        return acc.sum(axis=0)
     return np.array([math.fsum(col) for col in acc.T.tolist()])
 
 
@@ -257,10 +272,9 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     rows; their windows are gathered about _MEET_CHUNK products at a time,
     counts summed down the rows, and the weighted products cut into slices
     whose units are fixed once per band (_slice_units, from bounds on the
-    largest and smallest product) and summed down the rows per target. A
-    target meets at most 2^25 p_3 (distinct floors under the 2^26 span
-    guard, as for the rint counts) and the other rows read zeros, so the
-    slice sums are exact and the result is math.fsum's, whatever the blocks.
+    largest and smallest product and the len(f) rows that can meet a
+    target) and summed down the rows per target. So the slice sums are
+    exact and the result is math.fsum's, whatever the blocks.
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))
@@ -277,7 +291,7 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     # Rounding is monotone: top bounds every product, small every nonzero one.
     top = float(logs.max()) * float(pw.max())
     small = float(logs.min()) * float(np.min(pw, where=pw > 0, initial=np.inf))
-    units = _slice_units(top, small)
+    units = _slice_units(top, small, len(f))
     rows = max(1, _MEET_CHUNK // tb)
     for t in range(0, len(Ns), tb):
         N0, width = int(Ns[t]), min(tb, len(Ns) - t)

@@ -7,11 +7,13 @@ then is reported as AmbiguousFloor, never silently rounded.
 
 The double value is always computed with scalar math calls (libm), also
 in value_table, which vectorises only the floor, the fractional part and
-the guard test. The table, and the CSV that write_csv makes of any named
-columns (value tables, band scans, exponential sums), go in chunks of rows.
+the guard test. The table, and the CSV and JSON that write_csv and
+write_json make of any named columns (value tables, band scans,
+exponential sums), go in chunks of rows.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ from .window import WindowParams
 GUARD_ABS = 1e-6          # escalate when this close to an integer
 AMBIGUOUS_ABS = 2.0 ** -40
 _ESCALATED_PREC = 160     # bits; comfortably past the required 128
-_ROW_CHUNK = 2 ** 12      # rows per chunk in value_table and write_csv
+_ROW_CHUNK = 2 ** 12      # rows per chunk in value_table, write_csv and write_json
 _TABLE_ROWS = 2 ** 24     # most rows a window's value table may have
 _VALUE_BITS = 52          # from 2^52 on a double's ulp is 1: no fraction is left
 
@@ -190,6 +192,55 @@ def write_csv(cols: dict, fmt: str, fh) -> None:
     for start in range(0, len(next(iter(cols.values()))), _ROW_CHUNK):
         chunk = [col[start:start + _ROW_CHUNK].tolist() for col in cols.values()]
         fh.write("".join([fmt % row for row in zip(*chunk)]))
+
+
+def _json_cells(col: np.ndarray) -> list[str]:
+    # each entry of a bool, integer or float column as json.dumps writes it:
+    # true/false, int.__repr__, float.__repr__ or NaN/Infinity/-Infinity. A
+    # column of stride 0 (np.broadcast_to) is one value: it is written once.
+    if len(col) > 1 and col.strides == (0,):
+        return _json_cells(col[:1]) * len(col)
+    if col.dtype.kind == "b":
+        return ["true" if v else "false" for v in col.tolist()]
+    if col.dtype.kind != "f":
+        return list(map(int.__repr__, col.tolist()))
+    cells = list(map(float.__repr__, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = "NaN" if np.isnan(col[i]) else "Infinity" if col[i] > 0 else "-Infinity"
+    return cells
+
+
+def _write_json_rows(cols: dict, fh) -> None:
+    # json.dumps of the row dicts of cols, a chunk of rows at a time: each
+    # column's chunk becomes its cells, joined a row at a time by one format
+    # with the names in sorted order
+    names = sorted(cols)
+    fmt = "{" + ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in names) + "}"
+    fh.write("[")
+    for start in range(0, len(next(iter(cols.values()), ())), _ROW_CHUNK):
+        cells = [_json_cells(cols[name][start:start + _ROW_CHUNK]) for name in names]
+        fh.write((", " if start else "") + ", ".join([fmt % row for row in zip(*cells)]))
+    fh.write("]")
+
+
+def write_json(obj: dict, fh, rows: dict | None = None) -> None:
+    """json.dumps(obj, sort_keys=True) and a newline; with rows, obj["rows"] is their row dicts.
+
+    rows are named equal-length columns, written by column a chunk at a
+    time, so neither the row dicts nor the whole text is ever held; the
+    bytes are those of json.dumps with the row dicts in place.
+    """
+    if rows is None:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        return
+    fh.write("{")
+    for i, (key, value) in enumerate(sorted({**obj, "rows": None}.items())):
+        fh.write((", " if i else "") + json.dumps(key) + ": ")
+        if key == "rows":
+            _write_json_rows(rows, fh)
+        else:
+            fh.write(json.dumps(value, sort_keys=True))
+    fh.write("}\n")
 
 
 def table_to_csv(table: ValueTable, fh) -> None:

@@ -36,6 +36,11 @@ def w3():
 
 
 @pytest.fixture(scope="session")
+def w4():
+    return quiet_window(4, 1.02, 1.5)
+
+
+@pytest.fixture(scope="session")
 def block2(w2):
     return sieve_segment(w2.delta1, w2.delta2)
 
@@ -46,6 +51,11 @@ def block3(w3):
 
 
 @pytest.fixture(scope="session")
+def block4(w4):
+    return sieve_segment(w4.delta1, w4.delta2)
+
+
+@pytest.fixture(scope="session")
 def table2(w2, block2):
     return value_table(block2.primes, w2.c, w2.theta)
 
@@ -53,6 +63,11 @@ def table2(w2, block2):
 @pytest.fixture(scope="session")
 def table3(w3, block3):
     return value_table(block3.primes, w3.c, w3.theta)
+
+
+@pytest.fixture(scope="session")
+def table4(w4, block4):
+    return value_table(block4.primes, w4.c, w4.theta)
 
 
 @pytest.fixture(scope="session")

@@ -242,6 +242,34 @@ def test_band_stats_mean_rounds_once(w2):
     assert (math.fsum(ratio.tolist()) / 3).hex() == "0x1.63125e33fe483p+0"
 
 
+_RATIOS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, -1.0, 2.0 ** 969]),
+    st.floats(-1e-300, 1e-300),                      # subnormals and their neighbours
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RATIOS, min_size=1, max_size=60))
+def test_band_stats_mean_bits_equal_statistics_mean(w2, ratios):
+    # exact slice sums joined as Fractions, rounded once: statistics.mean's
+    # bits, also with zeros of both signs, negatives and subnormals (a
+    # column reaching 2^970 takes statistics.mean itself)
+    ratio = np.array(ratios)
+    scan = BandScan(np.arange(len(ratio)), np.ones(len(ratio), dtype=np.int64), ratio, w2)
+    mean = band_stats(scan, BandComparison(1.0, ratio))["mean_ratio"]
+    assert mean.hex() == statistics.mean(ratios).hex()
+
+
+def test_band_stats_mean_of_non_finite_columns(w2):
+    for ratios in ([1.0, math.inf, 2.0], [-math.inf, 0.5], [math.inf, -math.inf], [math.nan, 1.0]):
+        ratio = np.array(ratios)
+        scan = BandScan(np.arange(len(ratio)), np.ones(len(ratio), dtype=np.int64), ratio, w2)
+        mean = band_stats(scan, BandComparison(1.0, ratio))["mean_ratio"]
+        assert mean.hex() == statistics.mean(ratios).hex(), ratios
+
+
 def test_compare_csv_header(table2, block2, pairmap2, w2, tmp_path):
     scan = scan_band(table2, block2.logs, w2.n_star, w2.n_star + 2, pair_map=pairmap2, w=w2)
     cmp = compare_report(scan, w2)
@@ -286,10 +314,11 @@ def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
     # a chunk at a time, and the int64 grid is passed as is: on a pool of 2
     # the grid, its weights, the window's start table (solved cold here, so
     # its node solve counts) and a chunk of temporaries per thread stay
-    # under 3.5 times the grid's bytes (2.8 measured in a fresh pytest
-    # process, the pool's first import included; 2.6 with both warm); a
-    # float64 copy of the grid and full-length range-check temporaries
-    # took 4.6
+    # under 3.5 times the grid's bytes (2.5-2.6 measured in a fresh process,
+    # under pytest or not); a float64 copy of the grid and full-length
+    # range-check temporaries took 4.6. The pool is warmed first: its lazy
+    # import of concurrent.futures put about 0.5 times the grid's bytes of
+    # module objects in the traced window outside pytest.
     import tracemalloc
 
     from tanprimes import pool
@@ -298,6 +327,7 @@ def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
     monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", 2 ** 10)
     window_mod._start_table.cache_clear()
     with pool.threads(2):
+        pool.map_chunks(abs, [0, 0])  # concurrent.futures and the threads, untraced
         tracemalloc.start()
         try:
             m, wt = grid_weights.__wrapped__(w3)  # uncached

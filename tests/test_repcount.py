@@ -323,9 +323,15 @@ def test_meet_bits_equal_fsum(request, table3, block3, w3, table_kind):
     assert products > 2 * repcount._MEET_CHUNK  # the band spans several chunks
 
 
+def _units(x):
+    # the meet's slice units for the columns of x: from x's extremes and row count
+    return repcount._slice_units(float(x.max()), float(np.min(x, where=x > 0, initial=np.inf)),
+                                 len(x))
+
+
 def _column_fsums(x):
-    # the meet's exact-sum kernel on each column of x, its units from x's extremes
-    units = repcount._slice_units(float(x.max()), float(np.min(x, where=x > 0, initial=np.inf)))
+    # the meet's exact-sum kernel on each column of x
+    units = _units(x)
     acc = np.zeros((len(units), x.shape[1]))
     repcount._add_slices(x.copy(), units, acc)
     return repcount._join_slices(acc)
@@ -356,16 +362,19 @@ def test_exact_sums_where_plain_sums_fail():
 def test_slice_join_rounds_once():
     # the 2^-60 slice breaks the tie of 2^53 + 1 upward; joining the slice
     # sums one add at a time would round the tie to even first and lose it
-    terms = [2.0 ** 53, 1.0, 2.0 ** -60]
-    assert _column_fsums(np.array(terms)[:, None])[0] == math.fsum(terms) == 2.0 ** 53 + 2
+    # (four slices of 50 bits, so the join is math.fsum's)
+    terms = np.array([2.0 ** 53, 1.0, 2.0 ** -60])[:, None]
+    assert len(_units(terms)) == 4
+    assert _column_fsums(terms)[0] == math.fsum(terms[:, 0].tolist()) == 2.0 ** 53 + 2
 
 
 def test_exact_sums_near_ties_with_many_terms():
     # 2^20 terms in [0.5, 1) sharing their top 30 bits, so that the rests of
     # a slice all have one sign and add up to about n * 2^(width - 2) units
     # of 2^-53: past 2^53, and no longer exact, for a slice 35 bits wide.
-    # The last term puts the exact sum one unit above, or below, a tie of
-    # the result, so any error of a unit changes the rounded sum.
+    # 2^20 rows take slices of 52 - 21 = 31 bits, two of them, joined by one
+    # add. The last term puts the exact sum one unit above, or below, a tie
+    # of the result, so any error of a unit changes the rounded sum.
     n = 1 << 20
     rng = np.random.default_rng(23)
     m = (0x2A5D3B17 << 23) + rng.integers(0, 1 << 23, n - 1)   # x * 2^53, below 2^53
@@ -375,8 +384,23 @@ def test_exact_sums_near_ties_with_many_terms():
     for side in (1, -1):
         last = (1 << 52) + (half + side - exact - (1 << 52)) % (2 * half)
         terms = np.append(m, last) * 2.0 ** -53
+        assert len(_units(terms[:, None])) == 2
         got = _column_fsums(terms[:, None])[0]
         assert got.hex() == math.fsum(terms.tolist()).hex()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_band_meets_join_two_slices(request, monkeypatch, k):
+    # the 992 primes of k=3 take 42-bit slices and the 17 656 of k=4 37-bit
+    # ones, two slices a product, so every target's slice sums join in one
+    # add and never reach math.fsum (26-bit slices took three)
+    w, table, block = (request.getfixturevalue(f"{name}{k}") for name in ("w", "table", "block"))
+    seen = []
+    join = repcount._join_slices
+    monkeypatch.setattr(repcount, "_join_slices", lambda acc: seen.append(len(acc)) or join(acc))
+    monkeypatch.setattr(math, "fsum", None)
+    scan = scan_band(table, block.logs, w.n_star - 100, w.n_star + 100)
+    assert seen == [2] and np.all(scan.weighted > 0)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])

@@ -1,6 +1,7 @@
 """Certified floor evaluation of n^c tan^theta(log n)."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tanprimes import floor_value, frac_norm, value_table
 from tanprimes.errors import AmbiguousFloor, DomainError
-from tanprimes.seqeval import table_to_csv
+from tanprimes.seqeval import table_to_csv, write_json
 
 
 def test_small_value_frozen():
@@ -223,3 +224,44 @@ def test_csv_bytes_equal_row_writer(request, monkeypatch, chunk):
         buf = io.StringIO()
         table_to_csv(t, buf)
         assert buf.getvalue() == text
+
+
+_I64 = np.iinfo(np.int64)
+_JSON_TABLES = {
+    "floats": {"x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                              1e16, 1e22, -1e22, 0.1, 1 / 3, 2.0 ** 53, 1.7976931348623157e308]),
+               "n": np.array([_I64.min, _I64.max, 0, -1, 1, 2 ** 53 + 1, -(2 ** 62), 7,
+                              10 ** 16, 10 ** 18, -3, 2, 9, 11], dtype=np.int64),
+               "ok": np.array([True, False] * 7)},
+    "one row": {"weighted": np.array([1e16]), "N": np.array([_I64.max]),
+                "certified": np.array([False])},
+    "repeated values": {"-0": np.broadcast_to(-0.0, 9), "nan": np.broadcast_to(math.nan, 9),
+                        "one": np.broadcast_to(np.int64(-7), 9), "t": np.broadcast_to(True, 9),
+                        "x": np.arange(9) * 0.5},
+    "empty": {"b": np.zeros(0), "a": np.zeros(0, dtype=np.int64)},
+    "no columns": {},
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("name", sorted(_JSON_TABLES))
+def test_json_bytes_equal_json_dumps(monkeypatch, chunk, name):
+    # the columns' JSON, a chunk of rows at a time, is json.dumps of the row
+    # dicts with sort_keys, also for NaN, the infinities, -0.0 beside 0.0, the
+    # smallest subnormal, 1e16 and 1e22, int64 extremes, bools and columns
+    # of one repeated value; keys of the object sort on either side of
+    # "rows", and nested objects sort too
+    from tanprimes import seqeval
+
+    cols = _JSON_TABLES[name]
+    rows = [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
+    extra = {"stats": {"n": 3, "mean": math.nan, "a": [1.5, None]}, "N": -2, "window": {"k": 3}}
+    if chunk is not None:
+        monkeypatch.setattr(seqeval, "_ROW_CHUNK", chunk)
+    for obj in ({}, extra):
+        buf = io.StringIO()
+        write_json(obj, buf, rows=cols)
+        assert buf.getvalue() == json.dumps({**obj, "rows": rows}, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    write_json(extra, buf)
+    assert buf.getvalue() == json.dumps(extra, sort_keys=True) + "\n"
