@@ -202,11 +202,27 @@ def _exact_mean(x: np.ndarray) -> float:
     return float(sum(map(Fraction, acc[:, 0].tolist())) / len(x))
 
 
+def _median(x: np.ndarray) -> float:
+    """statistics.median of x's entries: the middle one, or the mean of the middle two.
+
+    np.partition picks the middle values that a sort of the column would;
+    a column with a NaN, or with a -0.0 (which of two equal zeros is the
+    middle one only a stable sort decides), takes statistics.median itself.
+    """
+    if np.isnan(x).any() or (np.signbit(x) & (x == 0)).any():
+        return statistics.median(x.tolist())
+    mid = len(x) // 2
+    if len(x) % 2:
+        return float(np.partition(x, mid)[mid])
+    lo, hi = np.partition(x, [mid - 1, mid])[mid - 1:mid + 1].tolist()
+    return (lo + hi) / 2
+
+
 def band_stats(scan: BandScan, cmp: BandComparison) -> dict:
     """Band summary: positive rate and mean/median ratio (the mean exact, rounded once)."""
     return {
         "n": len(cmp.ratio),
         "positive_rate": int(np.count_nonzero(scan.count > 0)) / len(scan),
         "mean_ratio": _exact_mean(cmp.ratio),
-        "median_ratio": statistics.median(cmp.ratio.tolist()),
+        "median_ratio": _median(cmp.ratio),
     }

@@ -6,16 +6,23 @@ guard of an integer, in which case the value is recomputed with at least
 then is reported as AmbiguousFloor, never silently rounded.
 
 The double value is always computed with scalar math calls (libm), also
-in value_table, which vectorises only the floor, the fractional part and
-the guard test. The table, and the CSV and JSON that write_csv and
-write_json make of any named columns (value tables, band scans,
-exponential sums), go in chunks of rows.
+in value_table, which maps them over a chunk of rows as float64 and
+vectorises only the floor, the fractional part and the guard test. The
+table, and the CSV and JSON made of it and of any named columns (band
+scans, exponential sums), go in chunks of rows. table_to_csv formats the
+value table by column into one byte matrix per chunk; Python's "%.12f"
+runs only for the rare frac cells it cannot settle. write_csv keeps
+Python's % a row at a time for every other CSV layout (the %.12g columns
+of scan, compare, expsum, classical and count), and write_json writes
+every JSON table by column.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -133,13 +140,14 @@ def frac_norm(n: int, c: float, theta: float) -> float:
 def value_table(ns, c: float, theta: float) -> ValueTable:
     """Tabulate certified floors for an ascending iterable of integers.
 
-    Rows are taken in chunks of _ROW_CHUNK. The double stage makes the same
-    scalar math calls as floor_value, on Python ints: numpy's vectorised log,
-    tan and pow differ from libm in the last bits, which would move frac.
-    numpy then floors, takes the fractional parts and picks the rows within
-    GUARD_ABS of an integer, and only those go through certified_floor. The
-    first row floor_value refuses raises its DomainError once every row
-    before it is done, as a row-by-row loop would.
+    Rows are taken in chunks of _ROW_CHUNK. The double stage maps the same
+    scalar math calls as floor_value (math.log, math.tan and pow) over the
+    chunk's rows as float64, which round as Python's int -> float does:
+    numpy's vectorised log, tan and pow differ from libm in the last bits,
+    which would move frac. numpy then floors, takes the fractional parts
+    and picks the rows within GUARD_ABS of an integer, and only those go
+    through certified_floor. The first row floor_value refuses raises its
+    DomainError once every row before it is done, as a row-by-row loop would.
     """
     ns = np.asarray(ns, dtype=np.int64)
     f = np.empty(len(ns), dtype=np.int64)
@@ -147,10 +155,11 @@ def value_table(ns, c: float, theta: float) -> ValueTable:
     cert = np.zeros(len(ns), dtype=bool)
     for start in range(0, len(ns), _ROW_CHUNK):
         rows = ns[start:start + _ROW_CHUNK]
-        ints = rows[:_first(rows < 1)].tolist()
-        tans = [math.tan(math.log(n)) for n in ints]
-        ok = _first(np.array(tans) <= 0.0)  # rows before the first refused one
-        v = np.array([n ** c * tn ** theta for n, tn in zip(ints[:ok], tans[:ok])])
+        x = rows[:_first(rows < 1)].astype(np.float64).tolist()
+        tans = np.fromiter(map(math.tan, map(math.log, x)), np.float64, len(x))
+        ok = _first(tans <= 0.0)  # rows before the first refused one
+        v = (np.fromiter(map(pow, x[:ok], repeat(c)), np.float64, ok)
+             * np.fromiter(map(pow, tans[:ok].tolist(), repeat(theta)), np.float64, ok))
         fl = np.floor(v)
         r = v - fl
         near = ~(np.minimum(r, 1.0 - r) >= GUARD_ABS)  # NaN and inf too
@@ -159,7 +168,7 @@ def value_table(ns, c: float, theta: float) -> ValueTable:
         frac[start:start + ok] = r
         for i in np.flatnonzero(near).tolist():
             f[start + i], frac[start + i], cert[start + i] = certified_floor(
-                float(v[i]), _exact_value, ints[i], c, theta)
+                float(v[i]), _exact_value, int(rows[i]), c, theta)
         if ok < len(rows):
             _certified(int(rows[ok]), c, theta)  # raises that row's DomainError
     return ValueTable(n=ns, f=f, frac=frac, certified=cert)
@@ -243,12 +252,97 @@ def write_json(obj: dict, fh, rows: dict | None = None) -> None:
     fh.write("}\n")
 
 
+@cache
+def _group_words() -> tuple[np.ndarray, np.ndarray]:
+    # a four-digit group g as one word of four ASCII bytes: "%d" % g after
+    # NULs at index g, for a group with no digits before it, and "%04d" % g
+    # at 10000 + g; the second table has only NULs at 0, for a group with
+    # no digits in it or before it
+    g = np.arange(20000)[:, None]
+    digits = np.where(g >= [1000, 100, 10, 0], g % 10000 // [1000, 100, 10, 1] % 10 + 48, 0)
+    last = digits.astype(np.uint8).view(np.uint32)[:, 0]
+    upper = last.copy()
+    upper[0] = 0
+    return last, upper
+
+
+def _words(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, np.uint32)
+
+
+def _digit_words(mag: np.ndarray, groups: int, full: bool = False) -> list[np.ndarray]:
+    # the digits of uint64 magnitudes as columns of words, four-digit groups
+    # from the most significant on; with full, every group is "%04d"
+    last, upper = _group_words()
+    out = []
+    for g in range(groups):
+        hi = mag // 10000
+        ahead = 10000 if full else 10000 * (hi > 0)
+        out.append((upper if g else last)[(mag - hi * 10000).view(np.int64) + ahead])
+        mag = hi
+    return out[::-1]
+
+
+def _int_words(col: np.ndarray, sep: bytes) -> list[np.ndarray]:
+    # sep and "%d" of each int64 entry, as columns of NUL-padded words: sep
+    # and the sign in the first word, then the digits
+    neg = col < 0
+    mag = np.abs(col).view(np.uint64)  # abs(int64 min) wraps to itself, 2^63 as uint64
+    groups = -(-len(str(int(mag.max()))) // 4)
+    sign = _words(sep.ljust(4, b"\0") + sep.ljust(3, b"\0") + b"-")
+    return [sign[neg.view(np.uint8)], *_digit_words(mag, groups)]
+
+
+def _frac_words(col: np.ndarray) -> list[np.ndarray]:
+    # "," and "%.12f" of each float64 entry, as _int_words returns them. For
+    # x in [0, 1), rint(x * 1e12) has the digits of "%.12f" % x unless the
+    # rounded product is a half-integer. Half-integers below 2^52 are doubles
+    # and rounding is monotone, so any other rounded product lies between
+    # the same two half-integers as the exact one; on a half-integer (an
+    # exact tie, or a product rounded onto one) rint may round the other
+    # way. Those cells, and every x outside [0, 1) (-0.0, NaN and the
+    # infinities too), take Python's "%.12f" % x.
+    fast = (col >= 0.0) & (col < 1.0) & ~np.signbit(col)
+    p = np.where(fast, col, 0.0) * 1e12
+    fast &= p - np.floor(p) != 0.5
+    q = np.rint(p).astype(np.uint64)  # up to 10^12, which is "1.000000000000"
+    units = _words(b",\0" b"0." b",\0" b"1.")[(q // 10 ** 12).view(np.int64)]
+    out = [units, *_digit_words(q, 3, full=True)]
+    slow = np.flatnonzero(~fast).tolist()
+    if slow:
+        text = [b"," + ("%.12f" % x).encode() for x in col[slow].tolist()]
+        out[:0] = [np.zeros(len(col), np.uint32) for _ in range(-(-max(map(len, text)) // 4) - 4)]
+        for i, t in zip(slow, text):
+            for column, word in zip(out, _words(t.rjust(4 * len(out), b"\0")).tolist()):
+                column[i] = word
+    return out
+
+
+def _csv_rows(columns: list[np.ndarray]) -> str:
+    # the rows of word columns as text: their bytes row by row, less the NULs
+    # that pad each cell to whole words
+    return np.stack(columns, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def table_to_csv(table: ValueTable, fh) -> None:
     """Write the pinned CSV layout: n,f,frac,certified.
+
+    The bytes are those of "%d,%d,%.12f,%d\n" % row for each row, formatted
+    by column a _ROW_CHUNK of rows at a time: the integers from a table of
+    four-digit groups, frac from rint(frac * 1e12), and certified as one
+    digit. Each cell is padded with NULs to whole 4-byte words, the chunk's
+    columns fill one word matrix, and its bytes less the NULs are the rows.
+    Python's "%.12f" still formats the frac cells whose product is a
+    half-integer, and any frac outside [0, 1).
 
     frac is printed to 12 decimals, of which the double stage gets about 9
     right at k=3, 8 at k=4 and 6 at k=5 (largest errors against the 160-bit
     floors 3.7e-10, 9.8e-9 and 4.6e-7, at c=1.02, theta=1.5).
     """
-    write_csv({"n": table.n, "f": table.f, "frac": table.frac, "certified": table.certified},
-              "%d,%d,%.12f,%d\n", fh)
+    fh.write("n,f,frac,certified\n")
+    ends = _words(b",0\n\0" b",1\n\0")
+    for start in range(0, len(table), _ROW_CHUNK):
+        part = slice(start, start + _ROW_CHUNK)
+        fh.write(_csv_rows([*_int_words(table.n[part], b""), *_int_words(table.f[part], b","),
+                            *_frac_words(table.frac[part]),
+                            ends[table.certified[part].view(np.uint8)]]))

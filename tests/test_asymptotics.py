@@ -8,7 +8,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quiet_window
@@ -268,6 +268,34 @@ def test_band_stats_mean_of_non_finite_columns(w2):
         scan = BandScan(np.arange(len(ratio)), np.ones(len(ratio), dtype=np.int64), ratio, w2)
         mean = band_stats(scan, BandComparison(1.0, ratio))["mean_ratio"]
         assert mean.hex() == statistics.mean(ratios).hex(), ratios
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_RATIOS, st.sampled_from([math.inf, -math.inf, math.nan])),
+                min_size=1, max_size=60))
+@example([0.0, -0.0, -0.0, -1.0])
+@example([0.0, 0.0, -0.0, 0.0, -1.0])
+def test_band_stats_median_bits_equal_statistics_median(w2, ratios):
+    # the middle value, or the two averaged, picked by np.partition:
+    # statistics.median's bits on odd and even columns with ties, zeros of
+    # both signs and infinities (a column with a NaN or a -0.0 takes
+    # statistics.median itself; np.partition would pick 0.0 where the
+    # stable sort picks -0.0, or the other way round, in the two examples)
+    ratio = np.array(ratios)
+    scan = BandScan(np.arange(len(ratio)), np.ones(len(ratio), dtype=np.int64), ratio, w2)
+    median = band_stats(scan, BandComparison(1.0, ratio))["median_ratio"]
+    assert median.hex() == statistics.median(ratios).hex()
+
+
+def test_band_stats_median_of_the_wide_k3_band(table3, block3, w3):
+    # the 40 001 ratios of compare --k 3 --band -20000:20000, and all but
+    # the first of them for an even count
+    scan = scan_band(table3, block3.logs, w3.n_star - 20000, w3.n_star + 20000, w=w3)
+    cmp = compare_report(scan, w3)
+    for ratio in (cmp.ratio, cmp.ratio[1:]):
+        part = BandScan(scan.N[-len(ratio):], scan.count[-len(ratio):], ratio, w3)
+        median = band_stats(part, BandComparison(cmp.main_term, ratio))["median_ratio"]
+        assert median.hex() == statistics.median(ratio.tolist()).hex()
 
 
 def test_compare_csv_header(table2, block2, pairmap2, w2, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tanprimes import floor_value, frac_norm, value_table
 from tanprimes.errors import AmbiguousFloor, DomainError
-from tanprimes.seqeval import table_to_csv, write_json
+from tanprimes.seqeval import ValueTable, table_to_csv, write_json
 
 
 def test_small_value_frozen():
@@ -151,14 +151,16 @@ def _value_table_reference(ns, c, theta):
 
 
 def _table_rows(request):
-    # (ns, c, theta) for k=2 and k=3 primes and integers, and the k=4
-    # integers around n = 752 888, the one floor there that escalates
+    # (ns, c, theta) for k=2 and k=3 primes and integers, the k=4 integers
+    # around n = 752 888, the one floor there that escalates, and integers
+    # around 2^55, where float(n) rounds (tan(log n) is about 0.45 there)
     out = []
     for k in (2, 3):
         w = request.getfixturevalue(f"w{k}")
         out.append((request.getfixturevalue(f"block{k}").primes, w.c, w.theta))
         out.append((np.arange(math.floor(w.delta1) + 1, math.floor(w.delta2) + 1), w.c, w.theta))
     out.append((np.arange(751888, 753889), 1.02, 1.5))
+    out.append((np.arange(2 ** 55 - 64, 2 ** 55 + 65), 0.5, 1.0))
     return out
 
 
@@ -205,11 +207,33 @@ def test_value_table_refuses_like_row_loop(monkeypatch, chunk):
         assert _outcome(value_table, ns, c, theta) == want
 
 
+_I64 = np.iinfo(np.int64)
+
+
+def _edge_table():
+    # frac at the exact 12-decimal ties j/8192 (j odd) and their neighbours,
+    # at 0, the smallest subnormal, 0.9999999999995 (just below the tie, but
+    # its product by 1e12 rounds onto it), 1 - 2^-53 (printed as 1), and
+    # outside [0, 1); n and f at the int64 extremes, 0 and negatives, their
+    # digit counts changing from row to row
+    ties = np.arange(1, 8192, 2) / 8192
+    frac = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1),
+                           [0.0, 5e-324, 0.9999999999995, 1 - 2 ** -53, -0.0, 1.0, -0.25,
+                            1e20, -1e-20, math.nan, math.inf, -math.inf],
+                           np.random.default_rng(5).random(500)])
+    ints = np.array([_I64.min, _I64.max, 0, 9, 10, -1, -9, -10, 9999, 10000, -10000, 99999999,
+                     100000000, 10 ** 18, -(10 ** 18), _I64.min + 1, 7], dtype=np.int64)
+    n = np.resize(ints, len(frac))
+    cert = np.resize([True, False, False], len(frac))
+    return ValueTable(n=n, f=n[::-1].copy(), frac=frac, certified=cert)
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_csv_bytes_equal_row_writer(request, monkeypatch, chunk):
     from tanprimes import seqeval
 
     tables = [value_table(ns, c, theta) for ns, c, theta in _table_rows(request)]
+    tables.append(_edge_table())
     want = []
     for t in tables:
         buf = io.StringIO()
@@ -226,7 +250,6 @@ def test_csv_bytes_equal_row_writer(request, monkeypatch, chunk):
         assert buf.getvalue() == text
 
 
-_I64 = np.iinfo(np.int64)
 _JSON_TABLES = {
     "floats": {"x": np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                               1e16, 1e22, -1e22, 0.1, 1 / 3, 2.0 ** 53, 1.7976931348623157e308]),
