@@ -7,35 +7,15 @@ with integer frequencies:
   smooth_exp_sum   over the integer target grid, coefficient weight(m), frequency m;
   integer_exp_sum  over all integers in the window, coefficient 1, frequency f(n).
 
-Each is sum_samples at one alpha, which returns the complex sums of a kind.
-The full-circle quadrature sums the prime sum at every grid point, and the
-Fourier residual sums c_h e(h y) over |h| <= H at every y: all of them
-take their sums from one kernel, _exp_sums, the only code that forms the
-phases alpha * freq.
-
-Because frequencies are integers, alpha*freq is reduced mod 1 before the
-exponential, as x - floor(x), which has the bits of np.mod(x, 1.0);
-values at alpha and alpha+1 are then bit-identical, and the full-circle
-uniform quadrature of the cubed prime sum reproduces the representation
-count exactly once the grid beats 3*max(f).
-
-A sum walks the tree of numpy's pairwise sum over its terms: each leaf of
-at most _TERM_CHUNK terms builds its terms and sums them as one task, on
-the thread pool when the caller opened one (see tanprimes.pool), and the
-leaves join as numpy joins them. No array of every term is held, and the
-bits are those of one np.sum over such an array, whatever the chunk or
-the pool width. A short sum (at most 1 024 terms) is one leaf, and a task
-takes a block of up to _TERM_CHUNK // n alphas over it as one 2-D array
-whose rows np.sum(axis=1) adds with those same bits.
-
-A longer sum runs its alphas one after another, one task per leaf, and
-there a dyadic alpha = num/2^d (every point of a power-of-two --grid)
-reads e(alpha*f) from a table of the 2^d roots of unity at index
-(num*f) mod 2^d, when 2^d is at most the number of terms and
-|num|*max|f| < 2^53. The table is built for that alpha alone, so one is
-held at a time. The phase is then exact, each root is the np.exp the
-per-term path would call, and the sum keeps its bits; any other alpha
-exponentiates each term.
+Each is sum_samples at one alpha. They, the full-circle quadrature and the
+Fourier residual take their sums from one kernel, _exp_sums, the only code
+that forms the phases alpha * freq, reduced mod 1 as x - floor(x) (the bits
+of np.mod(x, 1.0)), so that every integer alpha has phase 0. A sum of
+more than 1 024 terms takes a dyadic alpha = num/d (every point of a
+power-of-two --grid) from d roots of unity and exact sums over the residue
+classes mod d, built in one chunked pass over the terms per call; any other
+sum exponentiates its terms. The route depends on the sum and alpha alone,
+so no bit depends on the pool width or the term chunk.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
@@ -55,11 +35,13 @@ import numpy as np
 from . import pool
 from .asymptotics import grid_weights
 from .errors import GridTooCoarseWarning, InvalidParameter, Singular
+from .repcount import _cut_slices, _join_slices, _slice_units
 from .seqeval import ValueTable, check_window_table, log_weights, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
 _TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums, at most
+_CLASS_TERMS = 1024   # longer sums take their dyadic alphas by residue class
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
 
@@ -83,9 +65,9 @@ def _freq_bound(freq: np.ndarray) -> int | None:
 
 
 def _dyadic(alpha: float, n: int, f_bound: int | None) -> tuple[int, int] | None:
-    # alpha = num/den with den a power of two, when the roots-of-unity table
-    # is exact and no longer than the n terms it serves (a tiny alpha such
-    # as 2^-1074 would otherwise ask for 2^1074 roots); else None.
+    # alpha = num/den with den a power of two, when num*f/den is exact for
+    # every frequency (|num|*max|f| < 2^53) and den is at most the n terms
+    # (2^-1074 would ask for 2^1074 classes); else None.
     if f_bound is None or not math.isfinite(alpha):
         return None
     num, den = alpha.as_integer_ratio()
@@ -94,87 +76,102 @@ def _dyadic(alpha: float, n: int, f_bound: int | None) -> tuple[int, int] | None
     return num, den
 
 
-def _pairwise_layout(start: int, n: int, leaf: int):
-    # The nodes of numpy's pairwise sum of the n complex128 terms from start:
-    # a node above 64 terms splits after (n - n % 8) // 2 of them, and one of
-    # at most 64 is added in a single loop. Nodes of at most leaf >= 64 terms
-    # stay whole, as slices; larger ones are (left, right) pairs.
+def _pairwise(start: int, n: int, leaf: int, at):
+    # at(s) summed over numpy's pairwise tree of the n complex128 terms from
+    # start: a node above 64 terms splits after (n - n % 8) // 2 of them,
+    # each node of at most leaf >= 64 terms is one slice s, visited left to
+    # right, and a complex add is numpy's join, real + real, imag + imag.
     if n <= leaf:
-        return slice(start, start + n)
+        return at(slice(start, start + n))
     half = (n - n % 8) // 2
-    return (_pairwise_layout(start, half, leaf), _pairwise_layout(start + half, n - half, leaf))
+    return _pairwise(start, half, leaf, at) + _pairwise(start + half, n - half, leaf, at)
 
 
-def _join_layout(node, sums) -> np.ndarray:
-    # The sums of a node from its leaves' sums (an iterator of arrays, one
-    # sum per alpha, in order): a complex add is numpy's join, real + real
-    # and imag + imag.
-    if isinstance(node, slice):
-        return next(sums)
-    return _join_layout(node[0], sums) + _join_layout(node[1], sums)
+def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
+    # d -> (the d roots of unity, V_d) for powers of two d | G: V_d[r] is
+    # W_d[r] - W_1/d (W_1 at d = 1) rounded once, W_d[r] the sum of the
+    # coefficients (of each real part) with frequency r mod d; None if one
+    # is not finite or reaches 2^970. np.bincount sums exact slices of the
+    # coefficients (_slice_units with rows n) per class f & (G - 1), a chunk
+    # at a time on the pool: every partial sum is an integer below 2^52
+    # units, so the class sums and their folds to d classes are exact in
+    # any order, and _join_slices rounds each once, -W_1/d one more slice.
+    n = len(freq)
+    step = max(_TERM_CHUNK, 64)
+    chunks = [slice(s, s + step) for s in range(0, n, step)]
+    parts = (coeff.real, coeff.imag) if np.iscomplexobj(coeff) else (coeff,)
 
+    def mags(x):  # |x| a chunk at a time
+        return (np.abs(x[c]) for c in chunks)
 
-def _flat_leaves(node) -> list[slice]:
-    return [node] if isinstance(node, slice) else _flat_leaves(node[0]) + _flat_leaves(node[1])
+    top = [np.max([a.max() for a in mags(x)]) for x in parts]
+    if not all(t < 2.0 ** 970 for t in top):
+        return None
+    small = [np.min([np.min(a, where=a > 0, initial=np.inf) for a in mags(x)]) for x in parts]
+    units = [_slice_units(float(t), float(s), n) for t, s in zip(top, small)]
+    width = min(pool.width(), len(chunks))
+
+    def accumulate(i):  # chunks i, i + width, ...: a (slices, G) array per part
+        accs = [np.zeros((len(u), G)) for u in units]
+        for c in chunks[i::width]:
+            cls = (freq[c] & (G - 1)).astype(np.intp, copy=False)
+            for x, u, acc in zip(parts, units, accs):
+                for j, part in enumerate(_cut_slices(x[c].astype(np.float64), u)):
+                    acc[j] += np.bincount(cls, weights=part, minlength=G)
+        return accs
+
+    accs = [sum(task) for task in zip(*pool.map_chunks(accumulate, range(width)))]
+
+    @functools.cache
+    def at(d):
+        shift = at(1)[1][0] / d if d > 1 else 0.0
+        V = [_join_slices(np.vstack([acc.reshape(len(acc), G // d, d).sum(axis=1), np.full(d, -s)]))
+             for acc, s in zip(accs, (shift.real, shift.imag))]
+        return np.exp(2j * np.pi * (np.arange(d) / d)), V[0] if len(V) == 1 else V[0] + 1j * V[1]
+
+    return at
 
 
 def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     # Sum of e(alpha * freq) * coeff at each alpha (floats, as a list or an
     # array), with the phase reduced mod 1 first; exact at integer alpha.
-    # The only place that forms the phases alpha * freq. Each sum walks
-    # numpy's pairwise tree over the whole array of terms: each leaf of at
-    # most max(_TERM_CHUNK, 64) terms is one pool task that builds its terms
-    # and returns their np.sum, and the leaves join as numpy joins them. So
-    # no array of every term is ever held, and the bits are those of one
-    # np.sum over that array, whatever the chunk or the pool width.
     #
-    # A short sum, of n terms with at least 64 alphas to a _TERM_CHUNK
-    # (n <= 1024 by default), is one leaf; a task takes a block of up to
-    # _TERM_CHUNK // n alphas over it as one 2-D array of terms and sums
-    # each row with np.sum(axis=1), the pairwise sum of a lone row; a block
-    # exponentiates every term. A longer sum keeps its table instead (k=4's
-    # 17 656 primes at --grid 256, on a 2-vCPU box: 0.36 s in blocks of 3
-    # alphas, 0.02 s with it): the alphas run one after another, each with
-    # one task per leaf, and a dyadic alpha = num/den (every point of a
-    # power-of-two grid) takes e(alpha * f) from a table of den roots of
-    # unity, built for that alpha alone, with the same bits: |num * f| <
-    # 2^53, so alpha * f = num * f / den is exact in float64 and num * f
-    # exact in int64; its phase is exactly r/den, r = (num * f) mod den,
-    # which the mask with den - 1 gives for either sign. Root r is np.exp of
-    # the float the general path hands np.exp for that phase. Any other
-    # alpha (non-dyadic, non-finite, too large, or over frequencies of a
-    # non-integer dtype) exponentiates each term.
-    #
-    # The exponential multiplies the coefficient, never the other way: for
-    # complex coefficients numpy's product is not bit-commutative.
+    # A sum of more than _CLASS_TERMS terms takes each alpha that _dyadic
+    # admits by class: with alpha = num/d, the phase of alpha * f is exactly
+    # r/d, r = (num * f) mod d, so the sum is one np.sum of the products
+    # roots[num * r mod d] * W_d[r]. For d > 1, num is odd and the roots sum
+    # to 0, so V_d stands for W_d: the rounded roots weigh only the classes'
+    # deviations from their mean. Any other alpha is summed per term, in
+    # blocks of up to _TERM_CHUNK // n alphas (at least one) over each leaf
+    # of _pairwise's tree; np.sum(axis=1) sums each row of a task's terms as
+    # it sums a lone row. The exponential multiplies the coefficient, never
+    # the other way: numpy's complex product is not bit-commutative.
     n = len(freq)
-    layout = _pairwise_layout(0, n, max(_TERM_CHUNK, 64))
-    leaves = _flat_leaves(layout)
-    f_bound = _freq_bound(freq)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    f_bound = _freq_bound(freq) if n > _CLASS_TERMS else None
+    ratios = {} if f_bound is None else {
+        i: r for i, a in enumerate(alphas.tolist()) if (r := _dyadic(a, n, f_bound))}
+    classes = ratios and _class_sums(coeff, freq, max(d for _, d in ratios.values()))
+    out = np.empty(len(alphas), dtype=complex)
+    for i, (num, d) in ratios.items() if classes else ():
+        roots, V = classes(d)
+        out[i] = np.sum(roots[(num & (d - 1)) * np.arange(d) & (d - 1)] * V)
+    rest = np.delete(np.arange(len(alphas)), list(ratios) if classes else [])
+    leaf = max(_TERM_CHUNK, 64)
+    leaves = _pairwise(0, n, leaf, lambda s: [s])  # + joins lists
+    block = max(1, _TERM_CHUNK // max(n, 1))
+    blocks = [rest[s:s + block] for s in range(0, len(rest), block)]
 
-    def run(rows, table, leaf):
-        if table is None:
-            terms = np.exp(2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[leaf])))
-        else:
-            num, roots = table
-            r = num * freq[leaf].astype(np.int64, copy=False)
-            r &= len(roots) - 1
-            terms = roots[r][None, :]
-        terms *= coeff[leaf]  # in place: a fresh product array costs page faults
+    def run(task):
+        rows, s = task
+        terms = np.exp(2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[s])))
+        terms *= coeff[s]  # in place: a fresh product array costs page faults
         return np.sum(terms, axis=1)
 
-    def one(i):  # the sum at alphas[i], from its own table if it has one
-        ratio = _dyadic(float(alphas[i]), n, f_bound)
-        table = ratio and (ratio[0], np.exp(2j * np.pi * (np.arange(ratio[1]) / ratio[1])))
-        sums = pool.map_chunks(functools.partial(run, slice(i, i + 1), table), leaves)
-        return _join_layout(layout, iter(sums))[0]
-
-    if 64 * n > _TERM_CHUNK:
-        return np.array([one(i) for i in range(len(alphas))], dtype=complex)
-    block = _TERM_CHUNK // max(n, 1)
-    blocks = [slice(s, s + block) for s in range(0, len(alphas), block)]
-    sums = pool.map_chunks(functools.partial(run, table=None, leaf=layout), blocks)
-    return np.concatenate([np.empty(0, complex)] + sums)
+    sums = iter(pool.map_chunks(run, [(rows, s) for rows in blocks for s in leaves]))
+    for rows in blocks:
+        out[rows] = _pairwise(0, n, leaf, lambda s: next(sums))
+    return out
 
 
 def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float) -> complex:

@@ -25,10 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import asymptotics, circle, exponents, pool, repcount
-from .errors import BandTooWide, TanprimesError, UsageError
+from .errors import BandTooWide, TanprimesError, UnreachableTargetWarning, UsageError
 from .primesieve import sieve_segment
 from .seqeval import check_window_table, table_to_csv, value_table, write_csv, write_json
-from .window import WindowParams, solve_for_target, weight, window_from_index
+from .window import WindowParams, solve_for_target, target_reach, weight, window_from_index
 
 
 def _band(text: str) -> tuple[int, int]:
@@ -153,9 +153,15 @@ def _band_scan(a, lo: int, hi: int):
     """Scan of n_star + [lo, hi], refused before sieving if the table or the pair map would be.
 
     The value check comes first, so a window past 2^52 exits 3 here as it
-    does from values and binary.
+    does from values and binary. A band reaching past the window's
+    target_reach warns first: no triple reaches a target there.
     """
     w, _ = _window(a)
+    reach = target_reach(w)
+    if w.n_star + lo < reach[0] or w.n_star + hi > reach[1]:
+        warnings.warn(f"band {w.n_star + lo}..{w.n_star + hi} leaves the reach {list(reach)} of "
+                      "three window values; targets outside it count 0", UnreachableTargetWarning,
+                      stacklevel=2)
     check_window_table(w, primes=True)
     repcount.check_pair_span(repcount.pair_span_bound(w, w.n_star + hi))
     values, logs = _table(w)

@@ -86,5 +86,9 @@ class TauClippedWarning(ParameterWarning):
     """Major-arc half width was clipped at 1/4."""
 
 
+class UnreachableTargetWarning(ParameterWarning):
+    """A target lies outside the reach of three window values, so its count is 0."""
+
+
 class GridTooCoarseWarning(UserWarning):
     """Full-circle grid too coarse for the quadrature to be exact."""

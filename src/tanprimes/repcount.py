@@ -224,27 +224,33 @@ def _slice_units(top: float, small: float, rows: int) -> range:
     return range(lo + (math.frexp(top)[1] - lo - 1) // width * width, lo - 1, -width)
 
 
-def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
-    """Cut the rows-by-columns x into slices on units; add slice j's column sums to acc[j].
+def _cut_slices(x: np.ndarray, units: range):
+    """Yield the slices of x on units, highest first: each is a buffer to read before the next.
 
-    x is overwritten. Every x is cut without error: with C = 1.5*2^(u+52)
-    the ulp of rest + C is 2^u, so (rest + C) - C is rest rounded to a
-    multiple of 2^u, and it and rest - part are exact (Sterbenz). With w
-    the slice width of units (at most 51), a part is at most 2^w units of
-    2^u in the top slice (|x| <= 2^(u+w)) and 2^(w-1) below it (|rest| is
-    at most half the unit above); the last slice is the rest itself, a
-    multiple of 2^lo. While a column of acc gathers at most the rows that
-    _slice_units was given, every partial sum of slice j is an integer
-    below 2^52 units of 2^units[j], so float64 adds it exactly, in any
-    order and any blocking.
+    x is overwritten, and the last slice is x itself. Every x is cut
+    without error: with C = 1.5*2^(u+52) the ulp of rest + C is 2^u, so
+    (rest + C) - C is rest rounded to a multiple of 2^u, and it and
+    rest - part are exact (Sterbenz). With w the slice width of units (at
+    most 51), a part is at most 2^w units of 2^u in the top slice
+    (|x| <= 2^(u+w)) and 2^(w-1) below it (|rest| is at most half the unit
+    above); the last slice is the rest itself, a multiple of 2^lo. So
+    while a sum gathers at most the rows that _slice_units was given,
+    every partial sum of slice j is an integer below 2^52 units of
+    2^units[j], and float64 adds it exactly, in any order and any blocking.
     """
     part = np.empty_like(x)
-    for j, u in enumerate(units[:-1]):
+    for u in units[:-1]:
         np.add(x, math.ldexp(1.5, u + 52), out=part)
         part -= math.ldexp(1.5, u + 52)
         x -= part
+        yield part
+    yield x
+
+
+def _add_slices(x: np.ndarray, units: range, acc: np.ndarray) -> None:
+    """Cut the rows-by-columns x on units (_cut_slices); add slice j's column sums to acc[j]."""
+    for j, part in enumerate(_cut_slices(x, units)):
         acc[j] += part.sum(axis=0)
-    acc[-1] += x.sum(axis=0)
 
 
 def _join_slices(acc: np.ndarray) -> np.ndarray:

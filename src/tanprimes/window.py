@@ -207,6 +207,16 @@ def image_interval(w: WindowParams) -> tuple[float, float]:
     return t1, t2
 
 
+def target_reach(w: WindowParams) -> tuple[int, int]:
+    """[3 floor(n1), 3 n_star], the targets a sum of three window values can reach.
+
+    Every value floor(t(p)) of a window prime lies in [floor(n1), n_star].
+    For theta below a threshold theta*(c) (1.112 at c = 1.02) n_star itself
+    lies below 3 floor(n1), so the window's own target is out of reach.
+    """
+    return 3 * math.floor(w.n1), 3 * w.n_star
+
+
 def _newton(ta, w: WindowParams):
     # Bracketed Newton for a flat array of targets, iterating only on the
     # points still moving: a point retires (its y written back) once its

@@ -230,12 +230,40 @@ def _hex(z):
     return z.real.hex(), z.imag.hex()
 
 
+def _class_groups(coeff, freq, d):
+    # the coefficients of each class f mod d, in class order
+    cls = freq % d
+    order = np.argsort(cls, kind="stable")
+    return np.split(coeff[order], np.searchsorted(cls[order], np.arange(1, d)))
+
+
+def _class_reference(coeff, freq, alpha):
+    # a long sum at a dyadic alpha = num/d, independently of _class_sums:
+    # math.fsum of the coefficients of each class f mod d less their mean
+    # fsum(coeff)/d (nothing at d = 1), then the d products with the roots
+    # of unity, added by np.sum
+    num, d = alpha.as_integer_ratio()
+    re, im = (math.fsum(part.tolist()) / d if d > 1 else 0.0 for part in (coeff.real, coeff.imag))
+    V = np.array([complex(math.fsum(g.real.tolist() + [-re]), math.fsum(g.imag.tolist() + [-im]))
+                  for g in _class_groups(coeff, freq, d)])
+    roots = np.exp(2j * np.pi * (np.arange(d) / d))
+    return complex(np.sum(roots[(num % d) * np.arange(d) % d] * V))
+
+
+def _expected(coeff, freq, alpha):
+    # the class reference where _exp_sums takes the class route, else the
+    # whole-array np.mod sum
+    if len(freq) > circle._CLASS_TERMS and circle._dyadic(alpha, len(freq), circle._freq_bound(freq)):
+        return _class_reference(coeff, freq, alpha)
+    return _exp_sum_reference(coeff, freq, alpha)
+
+
 _BIT_ALPHAS = [-0.5, -0.4375, 0.0, -0.0, 1 / 3, 0.5, 1.0, -3.0, 2.5, 2.0 ** 40 + 0.5]
 
 
 def _edge_alphas(freq):
-    # dyadic alphas on both sides of each condition for the roots-of-unity
-    # table: den at and above the largest power of two <= len(freq), and
+    # dyadic alphas on both sides of each condition for the class route:
+    # den at and above the largest power of two <= len(freq), and
     # |num| * max|f| just below and just above 2^53 (den = 2)
     lo = 1 << (len(freq).bit_length() - 1)
     f_max = int(np.abs(freq).max())
@@ -251,9 +279,11 @@ def _edge_alphas(freq):
     (2, 1, 1), (2, 7, 2), (2, 10 ** 9, 1), (3, 10 ** 9, 2),
 ])
 def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
-    # every kind at every alpha, dyadic or not, .hex()-equal to the
-    # whole-array np.mod sum, for any term chunk (one term, seven, past the
-    # array) and pool width
+    # every kind at every alpha, for any term chunk (one term, seven, past
+    # the array) and pool width: a dyadic alpha of a sum of more than
+    # _CLASS_TERMS terms .hex()-equal to the per-class fsum reference, every
+    # other alpha (non-dyadic, or of a short sum) to the whole-array np.mod
+    # sum. At k=2 the smooth sum is long, at k=3 the smooth and integer sums.
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
@@ -267,7 +297,7 @@ def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
     with pool.threads(width):
         for kind, (coeff, freq) in sums.items():
             alphas = _BIT_ALPHAS + _edge_alphas(freq)
-            want = [_hex(_exp_sum_reference(coeff, freq, a)) for a in alphas]
+            want = [_hex(_expected(coeff, freq, a)) for a in alphas]
             got = sum_samples(kind, alphas, w, values=table, logs=block.logs)
             assert [_hex(z) for z in got] == want, kind
             assert [_hex(circle._exp_sums(coeff, freq, [a])[0]) for a in alphas] == want
@@ -275,11 +305,112 @@ def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
             n = 1 << (len(freq).bit_length() - 1)
             for a in (1 / n, -3 / n, 1 / (2 * n), 3 / (2 * n)):
                 assert (_hex(circle._exp_sums(coeff[:n], freq[:n], [a])[0])
-                        == _hex(_exp_sum_reference(coeff[:n], freq[:n], a)))
+                        == _hex(_expected(coeff[:n], freq[:n], a)))
+
+
+def _pairwise_depth(n):
+    # additions on the longest path of numpy's pairwise sum of n complex
+    # terms: a leaf of at most 64 adds them into 4 accumulators per part
+    # (at most 15 adds each), joins those in 2 and adds up to 3 leftovers;
+    # a larger node splits after (n - n % 8) // 2 terms, as circle._pairwise
+    # does, and adds its halves' sums once
+    if n <= 64:
+        return 20
+    half = (n - n % 8) // 2
+    return 1 + max(_pairwise_depth(half), _pairwise_depth(n - half))
+
+
+def _class_deviations(coeff, freq, d):
+    # sum |W_d[r] - mean| over the classes r of f mod d (the mean is 0 at d = 1)
+    mean = math.fsum(coeff) / d if d > 1 else 0.0
+    return math.fsum(abs(math.fsum(g.tolist()) - mean) for g in _class_groups(coeff, freq, d))
+
+
+def _root_error(d):
+    # the largest distance of the rounded roots np.exp(2j pi r/d) from e(r/d)
+    import mpmath
+
+    roots = np.exp(2j * np.pi * (np.arange(d) / d)).tolist()
+    with mpmath.workprec(120):
+        return max(float(abs(mpmath.mpc(z) - mpmath.expjpi(mpmath.mpf(2 * r) / d)))
+                   for r, z in enumerate(roots))
+
+
+@pytest.mark.parametrize("grid", [16, 256])
+def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkeypatch, grid):
+    # every kind at k=3 (the 992-term prime sum too, with the class route
+    # opened to it) against the per-term route, which float64 frequencies
+    # force. Against the exact sum T = sum_r e(num r/d) V_d[r] (V_d = W_d,
+    # less their mean for d > 1, as the roots of unity sum to 0), with eps
+    # the largest error of the d rounded roots and u = 2^-53:
+    #   class route:    (d + 1) u sum|V_d| + eps sum|V_d|  (V rounded once,
+    #                   one product rounding, d - 1 additions in any order);
+    #   per-term route: (1 + depth) u sum|coeff| + eps sum|coeff|  (one
+    #                   product rounding, the additions on the longest path
+    #                   of numpy's pairwise tree).
+    from tanprimes import pool
+    from tanprimes.asymptotics import grid_weights
+
+    monkeypatch.setattr(circle, "_CLASS_TERMS", 0)
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    alphas = [-0.5 + j / grid for j in range(grid)]
+    dens = [a.as_integer_ratio()[1] for a in alphas]
+    eps = {d: _root_error(d) for d in set(dens)}
+    u = 2.0 ** -53
+    for coeff, freq in ((block3.logs, table3.f), (wt, m), (np.ones(len(freqs)), freqs)):
+        total = math.fsum(coeff)
+        dev = {d: _class_deviations(coeff, freq, d) for d in eps}
+        with pool.threads(2):
+            got = circle._exp_sums(coeff, freq, alphas)
+            want = circle._exp_sums(coeff, freq.astype(np.float64), alphas)
+        bound = np.array([(d + 1) * u * dev[d] + eps[d] * dev[d]
+                          + (1 + _pairwise_depth(len(freq))) * u * total + eps[d] * total
+                          for d in dens]) * (1 + 1e-9)
+        assert np.all(np.abs(got - want) <= bound), (len(freq), np.max(np.abs(got - want) / bound))
+
+
+def test_class_route_within_derived_bound_of_200_bits(w3):
+    # the k=3 smooth and integer sums at expsum --grid 16 against a 200-bit
+    # evaluation from exact class sums: the class route errs by at most
+    # (d + 1) u sum|V_d| + eps sum|V_d| (see above), far inside the
+    # per-term route's eps sum|coeff|, since the classes nearly cancel
+    import mpmath
+    from fractions import Fraction
+
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    alphas = [-0.5 + j / 16 for j in range(16)]
+    u = 2.0 ** -53
+    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
+        W = [sum(map(Fraction, coeff[freq % 16 == r].tolist()), Fraction(0)) for r in range(16)]
+        got = circle._exp_sums(coeff, freq, alphas)
+        with mpmath.workprec(200):
+            for z, a in zip(got.tolist(), alphas):
+                num, d = a.as_integer_ratio()
+                exact = mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator
+                                    * mpmath.expjpi(mpmath.mpf(2 * num * r) / d) for r, w in enumerate(W))
+                dev = _class_deviations(coeff, freq, d)
+                assert float(abs(mpmath.mpc(z) - exact)) <= ((d + 1) * u + _root_error(d)) * dev * (1 + 1e-9)
+
+
+def test_class_route_at_integer_alpha_is_fsum(w3):
+    # a long sum at an integer alpha is one class: the correctly rounded
+    # sum of the coefficients, with a zero imaginary part
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
+        assert len(freq) > circle._CLASS_TERMS
+        for z in circle._exp_sums(coeff, freq, [0.0, -0.0, 1.0, -3.0]):
+            assert (z.real, z.imag) == (math.fsum(coeff), 0.0)
 
 
 def test_dyadic_table_selection():
-    # which alphas read the roots-of-unity table: the conditions at their edges
+    # which alphas take the class route: the conditions at their edges
     freq = np.array([-3, 5, 2 ** 20, 7], dtype=np.int64)
     bound = circle._freq_bound(freq)
     assert bound == 2 ** 20
@@ -297,12 +428,11 @@ def test_dyadic_table_selection():
     assert circle._dyadic(2.0 ** 60, 4, circle._freq_bound(np.zeros(4, dtype=np.int64))) is None
 
 
-def test_long_dyadic_sums_read_the_roots_table(table4, block4, monkeypatch):
-    # the k=4 prime sum at --grid 256: 17 656 terms, a long sum, so each
-    # alpha runs alone and exponentiates only its table of den roots of
-    # unity, never a term; taking such sums in blocks of alphas costs
-    # 256 * 17 656 exponentials (0.36 s against 0.02 s)
-    assert 64 * len(table4) > circle._TERM_CHUNK
+def test_long_dyadic_sums_exponentiate_each_den_once(table4, block4, monkeypatch):
+    # the k=4 prime sum at --grid 256: 17 656 terms, a long sum, so every
+    # alpha takes the class route, and the only exponentials are one table
+    # of d roots of unity per distinct den d, never one of term length
+    assert len(table4) > circle._CLASS_TERMS
     alphas = [-0.5 + j / 256 for j in range(256)]
     sizes = []
     exp = np.exp
@@ -313,7 +443,8 @@ def test_long_dyadic_sums_read_the_roots_table(table4, block4, monkeypatch):
 
     monkeypatch.setattr(np, "exp", counted_exp)
     sum_samples("prime", alphas, None, table4, block4.logs)
-    assert sum(sizes) == sum(a.as_integer_ratio()[1] for a in alphas)
+    assert sum(sizes) <= sum({a.as_integer_ratio()[1] for a in alphas})
+    assert max(sizes) < len(table4)
 
 
 def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
@@ -361,9 +492,10 @@ def test_sum_samples_reuse_bits_equal_single_calls(table2, block2, w2, w3, monke
 
 def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
     # 16 smooth sums on a pool of 2 hold no array of every term, only one
-    # node of terms and its temporaries per thread: under the grid's own
-    # bytes (0.55-0.59 of them measured). One array of terms, 16 bytes a
-    # point, took 1.58; two whole-array sums at once 5 times as much.
+    # chunk of terms and its temporaries per thread: under the grid's own
+    # bytes (0.16 of them measured by class, 0.55-0.59 per term). One array
+    # of terms, 16 bytes a point, takes 1.58; two whole-array sums at once
+    # 5 times as much.
     import tracemalloc
 
     from tanprimes import pool
@@ -384,10 +516,11 @@ def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
 
 def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
     # the 97 578-term k=3 smooth sum over the power-of-two grid of expsum
-    # --grid 1024: every alpha is dyadic and reads a roots-of-unity table of
-    # up to 1 024 roots, built for that alpha and dropped after it. One
-    # table and one leaf of terms per thread took 0.60 of the grid's own
-    # bytes; building every table before the sums run took 17.6 times them.
+    # --grid 1024: every alpha is dyadic and takes the class route, whose
+    # temporaries are one chunk of terms per thread, the class sums mod 1024
+    # and one table of roots of unity per den (2 047 roots in all): 0.44 of
+    # the grid's own bytes measured, where a table per alpha, all built
+    # before the sums run, took 17.6 times them.
     import tracemalloc
 
     from tanprimes import pool
@@ -395,7 +528,7 @@ def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
 
     monkeypatch.setattr(circle, "_TERM_CHUNK", 2 ** 14)
     m, wt = grid_weights(w3)
-    assert 64 * len(m) > circle._TERM_CHUNK  # one alpha per task
+    assert len(m) > circle._CLASS_TERMS
     alphas = [-0.5 + j / 1024 for j in range(1024)]
     with pool.threads(2):
         sum_samples("smooth", alphas[:1], w3)  # the pool and its imports, untraced
@@ -406,6 +539,30 @@ def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peak < m.nbytes + wt.nbytes
+
+
+def test_class_sums_keep_memory_to_chunks(w4):
+    # the 2 404 430-term k=4 smooth sum at expsum --grid 256 on a pool of 2:
+    # the class route holds chunk-sized temporaries only, so its peak stays
+    # under a quarter of the grid's own bytes, which one full-length float64
+    # temporary (|coeff|, the classes or a slice) would already reach; a
+    # few of them lift the op's RSS from about 73 to 139 MiB.
+    import tracemalloc
+
+    from tanprimes import pool
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w4)  # cached before the measurement
+    alphas = [-0.5 + j / 256 for j in range(256)]
+    with pool.threads(2):
+        sum_samples("smooth", alphas[:1], w4)  # the pool and its imports, untraced
+        tracemalloc.start()
+        try:
+            sum_samples("smooth", alphas, w4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < (m.nbytes + wt.nbytes) / 4
 
 
 def test_log_weights_must_match_table(table2, block2, w2):

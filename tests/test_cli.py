@@ -96,7 +96,7 @@ _THREAD_CASES = {
     **{f"values-k{k}": ["values", *sel] for k, sel in ((2, _K2), (3, _K3))},
     **{f"expsum-{kind}-k{k}": ["expsum", *sel, "--kind", kind, "--grid", "16"]
        for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
-    # grid 16 reads every alpha from a roots-of-unity table, grid 12 most not
+    # grid 16 takes every alpha of a long sum by residue class, grid 12 most per term
     **{f"expsum-{kind}-k{k}-grid12": ["expsum", *sel, "--kind", kind, "--grid", "12"]
        for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
 }
@@ -315,10 +315,13 @@ def test_bad_band_usage(capsys):
 
 
 def test_resource_guard_exit(capsys):
-    code, _, err = run(
-        capsys, "scan", "--k", "2", "--c", "1.05", "--theta", "2.0",
-        "--band", "-600000:600001",
-    )
+    from tanprimes.errors import UnreachableTargetWarning
+
+    with pytest.warns(UnreachableTargetWarning):  # the band also leaves the window's reach
+        code, _, err = run(
+            capsys, "scan", "--k", "2", "--c", "1.05", "--theta", "2.0",
+            "--band", "-600000:600001",
+        )
     assert code == 4
     assert "resource guard" in err
 
@@ -336,6 +339,44 @@ def test_expsum_grid_guard_fires_before_work():
     assert proc.returncode == 4
     assert proc.stderr.splitlines()[-1] == "resource guard: --grid 1000001 exceeds 1000000 alphas"
     assert time.perf_counter() - start < 2
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", [["count"], ["scan", "--band", "-1:1"], ["compare", "--band", "-1:1"]],
+                         ids=["count", "scan", "compare"])
+def test_unreachable_band_warns_before_any_pair_table(monkeypatch, command):
+    # at c = 1.02, theta = 1.05 (below theta* = 1.112) the k=3 window's
+    # n_star = 95 834 lies below 3 floor(n1) = 100 005, so no triple reaches
+    # it: the warning comes before the value table, and so before any pair
+    # table, is built
+    from tanprimes import cli
+    from tanprimes.errors import UnreachableTargetWarning
+    from tanprimes.window import target_reach
+
+    w = window_from_index(3, 1.02, 1.05)
+    assert target_reach(w) == (100005, 287502) and w.n_star == 95834
+
+    def built(*a, **kw):
+        raise _TableBuilt
+
+    monkeypatch.setattr(cli, "_table", built)
+    band = "95834..95834" if command[0] == "count" else "95833..95835"
+    with pytest.warns(UnreachableTargetWarning, match=band + r" leaves the reach \[100005, 287502\]"):
+        with pytest.raises(_TableBuilt):
+            main([command[0], "--k", "3", "--c", "1.02", "--theta", "1.05", *command[1:]])
+
+
+def test_reachable_band_does_not_warn(capsys):
+    # the default exponents at k=3: n_star and the band around it are reachable
+    from tanprimes.errors import UnreachableTargetWarning
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(capsys, "compare", "--k", "3", "--band", "-20:20")[0] == 0
+    assert not [x for x in seen if issubclass(x.category, UnreachableTargetWarning)]
 
 
 def test_bad_threads_env(capsys, monkeypatch):
