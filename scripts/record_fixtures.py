@@ -23,6 +23,7 @@ import os
 import pathlib
 import statistics
 import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -71,7 +72,6 @@ def cli_cases():
         ("error-band-inverted", ["scan", "--k", "2", "--band", "9:1"], {}),
         ("error-no-window", ["window", "--N", "130914"], {}),
         ("error-c-below-1", ["window", "--k", "2", "--c", "0.5"], {}),
-        ("error-threads-env", ["window", "--k", "2"], {"TANPRIMES_THREADS": "many"}),
     ]
     return cases
 
@@ -80,18 +80,11 @@ def run_cli(argv, env):
     """Exit code, stdout and stderr of one in-process CLI run, warnings muted."""
     from tanprimes.cli import main
 
-    saved = os.environ.pop("TANPRIMES_THREADS", None)
-    os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
-            code = main(list(argv))
-    finally:
-        os.environ.pop("TANPRIMES_THREADS", None)
-        if saved is not None:
-            os.environ["TANPRIMES_THREADS"] = saved
+    with warnings.catch_warnings(), mock.patch.dict(os.environ, env), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 

@@ -8,10 +8,13 @@ with integer frequencies:
   integer_exp_sum  over all integers in the window, coefficient 1, frequency f(n).
 
 Each is sum_samples at one alpha. They, the full-circle quadrature and the
-Fourier residual take their sums from one kernel, _exp_sums, the only code
-that forms the phases alpha * freq, reduced mod 1 as x - floor(x) (the bits
-of np.mod(x, 1.0)), so that every integer alpha has phase 0. A sum of
-more than 1 024 terms takes a dyadic alpha = num/d (every point of a
+Fourier residual take their sums from one kernel, _exp_sums, which forms
+the phases alpha * freq of every sum. Two more phases are formed outside
+it: circle_integral's contraction against e(-N alpha) forms alpha * N, and
+fourier_expansion_residual's left-hand side e(-x frac(y)) forms x * frac(y).
+_frac reduces alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits
+of np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
+sum of more than 1 024 terms takes a dyadic alpha = num/d (every point of a
 power-of-two --grid) from d roots of unity and exact sums over the residue
 classes mod d, built in one chunked pass over the terms per call; any other
 sum exponentiates its terms. The route depends on the sum and alpha alone,
@@ -109,7 +112,7 @@ def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
         return None
     small = [np.min([np.min(a, where=a > 0, initial=np.inf) for a in mags(x)]) for x in parts]
     units = [_slice_units(float(t), float(s), n) for t, s in zip(top, small)]
-    width = min(pool.width(), len(chunks))
+    width = min(pool.WIDTH.get(), len(chunks))
 
     def accumulate(i):  # chunks i, i + width, ...: a (slices, G) array per part
         accs = [np.zeros((len(u), G)) for u in units]
@@ -304,12 +307,15 @@ def fourier_expansion_residual(y_grid, x: float, H: int) -> dict:
     Compares e(-x*frac(y)) against sum over |h| <= H of c_h(x) e(h y) on
     the given points and reports residual statistics next to the reference
     envelope min(1, 1/(H ||y||)), where ||y|| is the distance from y to
-    the nearest integer.
+    the nearest integer. An empty or non-finite y_grid raises
+    InvalidParameter before any work.
     """
     if H < 3:
         raise InvalidParameter(f"H must be at least 3, got {H}")
     y = np.asarray(y_grid, dtype=np.float64)
-    fy = np.mod(y, 1.0)
+    if not (y.size and np.isfinite(y).all()):
+        raise InvalidParameter("y_grid must hold at least one point, every one finite")
+    fy = _frac(y)
     lhs = np.exp(-2j * np.pi * x * fy)
     hs = np.arange(-H, H + 1)
     # integer x degenerates (every coefficient 0, one denominator 0); the

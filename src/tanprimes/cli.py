@@ -1,10 +1,10 @@
 """Command-line front end; emits CSV or JSON, deterministic for a fixed config.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage, 3 domain error,
-4 resource guard. The thread count from --threads or TANPRIMES_THREADS
-(default 1) is the width of the pool that runs the chunks of the
-per-point layers for this run (see tanprimes.pool); no output bit depends
-on it, and the width is back to 1 when main returns.
+4 resource guard. Each run sets the width of the pool that runs the
+chunks of the per-point layers (see tanprimes.pool) to the CPUs the
+process may use, at most _MAX_WIDTH; no output bit depends on it, and the
+width is back to 1 when main returns. --threads has no effect.
 
 Each subcommand runs on the argparse namespace and returns two callables,
 one writing its JSON and one writing its CSV text (None where only JSON
@@ -43,18 +43,16 @@ def _band(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    env = os.environ.get("TANPRIMES_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise UsageError(f"TANPRIMES_THREADS must be an integer, got {env!r}") from exc
-    else:
-        n = 1 if flag_value is None else flag_value
-    if n < 1:
-        raise UsageError(f"thread count must be positive, got {n}")
-    return n
+# The pool width every chunk size, memory bound and benchmark run was
+# measured at; it also bounds circle._class_sums' accumulators, one per thread.
+_MAX_WIDTH = 2
+
+
+def _width() -> int:
+    """The pool width of a run: the CPUs this process may use, at most _MAX_WIDTH."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(_MAX_WIDTH, cpus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
             g = sp.add_mutually_exclusive_group(required=True)
             g.add_argument("--k", type=int, help="window index")
             g.add_argument("--N", type=int, help="target that must solve the window equation")
-            sp.add_argument("--threads", type=int, default=None,
-                            help="width of the thread pool for the per-point layers; no output "
-                                 "bit depends on it (TANPRIMES_THREADS overrides)")
+            sp.add_argument("--threads", type=int, default=1,
+                            help="no effect: the pool width follows the CPUs this process may "
+                                 "use (at most 2); goes at the next benchmark change, with "
+                                 "sieve_segment(threads=)")
             output(sp, help="output path, - for stdout")
         return sp
 
@@ -125,7 +124,9 @@ def _table(w: WindowParams):
 
 def _cmd_window(a):
     w, residual = _window(a)
-    extra = {} if residual is None else {"solve_residual": residual}
+    extra = {"reach": list(target_reach(w))}
+    if residual is not None:
+        extra["solve_residual"] = residual
     return lambda fh: write_json({**dataclasses.asdict(w), **extra}, fh), None
 
 
@@ -322,8 +323,9 @@ def main(argv=None) -> int:
         i += 1
     try:
         a = build_parser().parse_args(argv)
-        a.threads = _resolve_threads(getattr(a, "threads", None))
-        with pool.threads(a.threads):
+        if getattr(a, "threads", 1) < 1:  # ignored, but still checked
+            raise UsageError(f"thread count must be positive, got {a.threads}")
+        with pool.threads(_width()):
             if a.command == "selftest":
                 return _selftest()
             _check_out(a.out_path)

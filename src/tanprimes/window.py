@@ -13,9 +13,11 @@ invert_map and weight start each target from a cubic Hermite interpolant
 through a per-window table of _START_NODES nodes, solved once by a
 bracketed Newton and cached, and take one Newton step; the weight reuses
 the tan(log y) of the residual check. Arrays are solved in chunks of
-_NEWTON_CHUNK points, on the thread pool when the CLI opened one (see
-tanprimes.pool); every result depends only on its target and the window,
-so the bits depend on neither, nor on whether the target came alone.
+_NEWTON_CHUNK points: on the CLI's pool, as wide as the CPUs the process
+may use up to 2, and serially for a library caller that opens no
+pool.threads (see tanprimes.pool).
+Every result depends only on its target and the window, so the bits depend
+on neither, nor on whether the target came alone.
 """
 from __future__ import annotations
 
@@ -361,7 +363,7 @@ def invert_map(t, w: WindowParams):
     the rounding noise of t(y); the residual is checked to 1e-9 relative
     (NoConvergence otherwise). Accepts t up to t(delta2) + 1/2 because
     n_star may round upward. Targets are solved in chunks of
-    _NEWTON_CHUNK, on the thread pool when one is open (see
+    _NEWTON_CHUNK, on the thread pool inside pool.threads (see
     tanprimes.pool); every result depends only on its target and w, so
     the bits are the same for a scalar, an array, any chunk size and any
     pool width.

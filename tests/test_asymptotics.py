@@ -355,7 +355,7 @@ def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
     monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", 2 ** 10)
     window_mod._start_table.cache_clear()
     with pool.threads(2):
-        pool.map_chunks(abs, [0, 0])  # concurrent.futures and the threads, untraced
+        pool.map_chunks(abs, [0, 0])  # concurrent.futures, untraced
         tracemalloc.start()
         try:
             m, wt = grid_weights.__wrapped__(w3)  # uncached

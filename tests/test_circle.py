@@ -200,6 +200,22 @@ def test_expansion_residual_rejections():
         fourier_expansion_residual(y, 1.0, 16)
 
 
+@pytest.mark.parametrize("y", [[], [math.nan], [math.inf], [-math.inf], [math.nan, 0.3]],
+                         ids=["empty", "nan", "inf", "-inf", "nan-among-finite"])
+def test_expansion_residual_refuses_empty_or_non_finite_points(monkeypatch, y):
+    # refused before any coefficient or phase is formed: no numpy
+    # ValueError or RuntimeWarning on an empty grid, no NaN statistics
+    def never(*a):
+        raise AssertionError("work done before the check")
+
+    monkeypatch.setattr(circle, "fourier_coeff", never)
+    monkeypatch.setattr(circle, "_exp_sums", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match="finite"):
+            fourier_expansion_residual(y, 0.37, 16)
+
+
 def test_sum_samples_tags_and_values(table2, block2, w2):
     alphas = [0.0, 0.25, -0.3]
     got = sum_samples("prime", alphas, w2, values=table2, logs=block2.logs)
@@ -531,7 +547,7 @@ def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
     assert len(m) > circle._CLASS_TERMS
     alphas = [-0.5 + j / 1024 for j in range(1024)]
     with pool.threads(2):
-        sum_samples("smooth", alphas[:1], w3)  # the pool and its imports, untraced
+        sum_samples("smooth", alphas[:1], w3)  # the imports of the pool and the sum, untraced
         tracemalloc.start()
         try:
             sum_samples("smooth", alphas, w3)
@@ -555,7 +571,7 @@ def test_class_sums_keep_memory_to_chunks(w4):
     m, wt = grid_weights(w4)  # cached before the measurement
     alphas = [-0.5 + j / 256 for j in range(256)]
     with pool.threads(2):
-        sum_samples("smooth", alphas[:1], w4)  # the pool and its imports, untraced
+        sum_samples("smooth", alphas[:1], w4)  # the imports of the pool and the sum, untraced
         tracemalloc.start()
         try:
             sum_samples("smooth", alphas, w4)

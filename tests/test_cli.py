@@ -37,6 +37,19 @@ def test_window_from_target(capsys):
     obj = json.loads(out)
     assert obj["k"] == 3
     assert obj["solve_residual"] < 1e-6
+    assert obj["reach"] == [100005, 392739]
+
+
+def test_window_reports_the_reach(capsys):
+    # the reach [3 floor(n1), 3 n_star] of window.target_reach: at theta =
+    # 1.05, below theta*(1.02) = 1.112, the window's own target lies below it
+    import math
+
+    code, out, _ = run(capsys, "window", "--k", "3", "--theta", "1.05")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["reach"] == [3 * math.floor(obj["n1"]), 3 * obj["n_star"]]
+    assert obj["n_star"] < obj["reach"][0]
 
 
 def test_window_unsolvable_target(capsys):
@@ -102,11 +115,17 @@ _THREAD_CASES = {
 }
 
 
+def fake_cpus(monkeypatch, n):
+    # the CPUs this process may use, as the CLI asks for them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("args", list(_THREAD_CASES.values()), ids=list(_THREAD_CASES))
 def test_compare_deterministic_across_threads(capsys, monkeypatch, args):
-    # the same bytes at every pool width, from the flag or the environment,
-    # with every cache cleared first and chunks small enough that several
-    # run at once; the width is back to 1 after each run
+    # the same bytes at every pool width, on 1 or 2 CPUs and with every
+    # --threads, which is accepted and ignored; every cache is cleared first
+    # and the chunks are small enough that several run at once; the width is
+    # back to 1 after each run
     from tanprimes import circle, pool, seqeval, window
     from tanprimes.asymptotics import grid_weights
 
@@ -114,44 +133,106 @@ def test_compare_deterministic_across_threads(capsys, monkeypatch, args):
     monkeypatch.setattr(circle, "_TERM_CHUNK", 4096)
     monkeypatch.setattr(seqeval, "_ROW_CHUNK", 100)
     outs = []
-    for threads, env in ((1, None), (2, None), (3, None), (None, "2")):
-        if env is not None:
-            monkeypatch.setenv("TANPRIMES_THREADS", env)
+    for threads, cpus in ((1, None), (2, None), (3, None), (None, 1), (None, 2)):
+        if cpus is not None:
+            fake_cpus(monkeypatch, cpus)
         grid_weights.cache_clear()
         circle._integer_freqs.cache_clear()
         code, out, _ = run(capsys, *args, *(() if threads is None else ("--threads", str(threads))))
         assert code == 0
-        assert pool.width() == 1
+        assert pool.WIDTH.get() == 1
         outs.append(out)
     assert outs[0].count("\n") > 7
-    assert outs[1:] == outs[:1] * 3
+    assert outs[1:] == outs[:1] * 4
 
 
-def test_pool_runs_chunks_on_its_threads(capsys, monkeypatch):
-    # --threads 2 solves the inversion's chunks on the pool's threads,
-    # --threads 1 on the calling thread only
+def _chunk_spy(monkeypatch):
+    # the names of the threads that run window._invert_chunk, and the pool
+    # width of each map_chunks call made in the calling thread
     import threading
 
-    from tanprimes import window
-    from tanprimes.asymptotics import grid_weights
+    from tanprimes import pool, window
 
-    names = set()
-    invert_chunk = window._invert_chunk
+    names, widths = set(), []
+    invert_chunk, map_chunks = window._invert_chunk, pool.map_chunks
 
     def spy(*a):
         names.add(threading.current_thread().name)
         return invert_chunk(*a)
 
+    def map_spy(fn, items):
+        widths.append(pool.WIDTH.get())
+        return map_chunks(fn, items)
+
     monkeypatch.setattr(window, "_invert_chunk", spy)
+    monkeypatch.setattr(pool, "map_chunks", map_spy)
     monkeypatch.setattr(window, "_NEWTON_CHUNK", 4096)
-    for threads in ("1", "2"):
+    return names, widths
+
+
+def test_pool_runs_chunks_on_its_threads(capsys, monkeypatch):
+    # the pool is as wide as the CPUs the process may use, at most 2: on 1
+    # CPU the inversion's chunks run on the calling thread only, on 2 or 8
+    # on the pool's two threads; the bytes are the same
+    import threading
+
+    from tanprimes.asymptotics import grid_weights
+
+    names, widths = _chunk_spy(monkeypatch)
+    outs = []
+    for cpus, width in ((1, 1), (2, 2), (8, 2)):
+        fake_cpus(monkeypatch, cpus)
         grid_weights.cache_clear()
         names.clear()
-        assert run(capsys, "expsum", *_K2, "--kind", "smooth", "--grid", "2",
-                   "--threads", threads)[0] == 0
-        pool_threads = {n for n in names if n.startswith("tanprimes")}
-        assert (threads == "2") == bool(pool_threads)
-        assert (threads == "1") == (names == {threading.current_thread().name})
+        widths.clear()
+        code, out, _ = run(capsys, "expsum", *_K2, "--kind", "smooth", "--grid", "2")
+        assert code == 0
+        assert set(widths) == {width}
+        if width == 1:
+            assert names == {threading.current_thread().name}
+        else:
+            assert names and names <= {"tanprimes_0", "tanprimes_1"}
+        outs.append(out)
+    assert outs[1:] == outs[:1] * 2
+
+
+def test_pool_width_without_affinity(monkeypatch):
+    # where the affinity query does not exist, the width follows
+    # os.cpu_count(), and an unknown count gives 1
+    from tanprimes import cli
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, width in ((None, 1), (1, 1), (2, 2), (8, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._width() == width
+
+
+def test_no_pool_thread_outlives_main(capsys, monkeypatch):
+    # every pool thread has stopped when main returns, also when a chunk
+    # raises on one of them
+    import threading
+
+    from tanprimes import window
+    from tanprimes.asymptotics import grid_weights
+    from tanprimes.errors import NoConvergence
+
+    def alive():
+        return [t.name for t in threading.enumerate() if t.name.startswith("tanprimes")]
+
+    names, _ = _chunk_spy(monkeypatch)
+    fake_cpus(monkeypatch, 2)
+    grid_weights.cache_clear()
+    assert run(capsys, "expsum", *_K2, "--kind", "smooth", "--grid", "2")[0] == 0
+    assert names - {threading.current_thread().name} and not alive()
+
+    def fail(*a):
+        raise NoConvergence("chunk failed")
+
+    monkeypatch.setattr(window, "_invert_chunk", fail)
+    grid_weights.cache_clear()
+    code, _, err = run(capsys, "expsum", *_K2, "--kind", "smooth", "--grid", "2")
+    assert code == 3 and "chunk failed" in err
+    assert not alive()
 
 
 def test_pool_loads_nothing_until_used():
@@ -379,10 +460,11 @@ def test_reachable_band_does_not_warn(capsys):
     assert not [x for x in seen if issubclass(x.category, UnreachableTargetWarning)]
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("TANPRIMES_THREADS", "many")
-    code, _, err = run(capsys, "window", "--k", "2", "--c", "1.05", "--theta", "2.0")
-    assert code == 2
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(capsys, count):
+    code, out, err = run(capsys, "window", *_K2, "--threads", count)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: thread count must be positive")
 
 
 def test_out_file(capsys, tmp_path):

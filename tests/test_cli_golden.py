@@ -38,7 +38,6 @@ def _same_json(got, want, where="$"):
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_cli_matches_golden(case, capsys, monkeypatch):
-    monkeypatch.delenv("TANPRIMES_THREADS", raising=False)
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
     code = main(list(case["argv"]))
