@@ -9,22 +9,30 @@ with integer frequencies:
 
 Each is sum_samples at one alpha. They, the full-circle quadrature and the
 Fourier residual take their sums from one kernel, _exp_sums, which forms
-the phases alpha * freq of every sum. Two more phases are formed outside
-it: circle_integral's contraction against e(-N alpha) forms alpha * N, and
-fourier_expansion_residual's left-hand side e(-x frac(y)) forms x * frac(y).
-_frac reduces alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits
-of np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
-sum of more than 1 024 terms takes a dyadic alpha = num/d (every point of a
-power-of-two --grid) from d roots of unity and exact sums over the residue
-classes mod d, built in one chunked pass over the terms per call; any other
-sum exponentiates its terms. The route depends on the sum and alpha alone,
-so no bit depends on the pool width or the term chunk.
+the phases alpha * freq of every sum. It takes alpha either as a float or,
+on the full circle, as an integer numerator j over the grid's M: the phase
+of j * f is then exactly ((j * (f mod M)) mod M) / M, an index into one
+table of the M roots of unity, _roots(M). Two more phases are formed
+outside it: circle_integral's contraction against e(-N alpha) reads
+e(-j N / M) from the same table at (-j N) mod M on the full circle and
+forms alpha * N on a partial arc, and fourier_expansion_residual's
+left-hand side e(-x frac(y)) forms x * frac(y). _frac reduces the float
+phases alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits of
+np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
+float sum of more than 1 024 terms takes a dyadic alpha = num/d (every
+point of a power-of-two --grid) from d roots of unity and exact sums over
+the residue classes mod d, built in one chunked pass over the terms per
+call; any other float sum exponentiates its terms. The route depends on
+the sum and alpha alone, so no bit depends on the pool width or the term
+chunk.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
-the trapezoid's endpoint halves applied: the O(grid * primes) exponentials
-are paid once, and each further target costs one O(grid) contraction with
-the same bits as a cold call.
+the trapezoid's endpoint halves applied: the O(grid * primes) terms are
+paid once, and each further target costs one O(grid) contraction with the
+same bits as a cold call. On the full circle the log weights are real and
+roots[M - r] is conj(roots[r]), so only j <= M/2 is summed and every other
+point is an exact conjugate.
 """
 from __future__ import annotations
 
@@ -37,8 +45,8 @@ import numpy as np
 
 from . import pool
 from .asymptotics import grid_weights
-from .errors import GridTooCoarseWarning, InvalidParameter, Singular
-from .repcount import _cut_slices, _join_slices, _slice_units
+from .errors import GridTooCoarseWarning, InvalidParameter, Singular, TooLarge
+from .repcount import _PAIR_SPAN_GUARD, _cut_slices, _join_slices, _slice_units
 from .seqeval import ValueTable, check_window_table, log_weights, value_table
 from .window import WindowParams
 
@@ -57,6 +65,21 @@ def _frac(x: np.ndarray) -> np.ndarray:
     # rounded once (exact when x >= 0), and both give +0.0 at integer x.
     fl = np.floor(x)
     return np.subtract(x, fl, out=fl)
+
+
+@functools.lru_cache(maxsize=1)
+def _roots(M: int) -> np.ndarray:
+    # e(r/M) for r = 0..M-1, read-only: the lower half from np.exp, the
+    # upper half their exact conjugates (roots[M - r] == conj(roots[r])),
+    # and roots[M/2] = -1 for even M, which is its own conjugate.
+    h = M // 2
+    roots = np.empty(M, dtype=complex)
+    roots[:h + 1] = np.exp(2j * np.pi * (np.arange(h + 1) / M))
+    if M % 2 == 0:
+        roots[h] = -1.0
+    roots[h + 1:] = np.conj(roots[M - h - 1:0:-1])
+    roots.flags.writeable = False
+    return roots
 
 
 def _freq_bound(freq: np.ndarray) -> int | None:
@@ -135,11 +158,15 @@ def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
     return at
 
 
-def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
+def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = None) -> np.ndarray:
     # Sum of e(alpha * freq) * coeff at each alpha (floats, as a list or an
     # array), with the phase reduced mod 1 first; exact at integer alpha.
+    # Given den (at most _PAIR_SPAN_GUARD), alphas are integer numerators j
+    # of j/den instead, for integer frequencies: each term reads its phase
+    # from _roots(den) at (j * (f mod den)) mod den, which is below 2^52
+    # before the reduction, so the phase is exact.
     #
-    # A sum of more than _CLASS_TERMS terms takes each alpha that _dyadic
+    # A float sum of more than _CLASS_TERMS terms takes each alpha that _dyadic
     # admits by class: with alpha = num/d, the phase of alpha * f is exactly
     # r/d, r = (num * f) mod d, so the sum is one np.sum of the products
     # roots[num * r mod d] * W_d[r]. For d > 1, num is odd and the roots sum
@@ -150,8 +177,12 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     # it sums a lone row. The exponential multiplies the coefficient, never
     # the other way: numpy's complex product is not bit-commutative.
     n = len(freq)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    f_bound = _freq_bound(freq) if n > _CLASS_TERMS else None
+    if den is not None:
+        alphas = np.asarray(alphas, dtype=np.int64) % den
+        table, freq = _roots(den), (freq % den).astype(np.int64, copy=False)
+    else:
+        alphas = np.asarray(alphas, dtype=np.float64)
+    f_bound = _freq_bound(freq) if n > _CLASS_TERMS and den is None else None
     ratios = {} if f_bound is None else {
         i: r for i, a in enumerate(alphas.tolist()) if (r := _dyadic(a, n, f_bound))}
     classes = ratios and _class_sums(coeff, freq, max(d for _, d in ratios.values()))
@@ -162,12 +193,17 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas) -> np.ndarray:
     rest = np.delete(np.arange(len(alphas)), list(ratios) if classes else [])
     leaf = max(_TERM_CHUNK, 64)
     leaves = _pairwise(0, n, leaf, lambda s: [s])  # + joins lists
-    block = max(1, _TERM_CHUNK // max(n, 1))
+    block = max(1, min(len(rest), _TERM_CHUNK // max(n, 1)))
     blocks = [rest[s:s + block] for s in range(0, len(rest), block)]
 
     def run(task):
         rows, s = task
-        terms = np.exp(2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[s])))
+        if den is None:
+            terms = 2j * np.pi * _frac(np.multiply.outer(alphas[rows], freq[s]))
+            np.exp(terms, out=terms)  # in place, as the product below
+        else:
+            phases = np.multiply.outer(alphas[rows], freq[s])
+            terms = table[np.remainder(phases, den, out=phases)]
         terms *= coeff[s]  # in place: a fresh product array costs page faults
         return np.sum(terms, axis=1)
 
@@ -243,12 +279,22 @@ def _cubed_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     # The grid a + j h, j = 0..M, and the prime sum cubed on it, halved at
     # j = 0 and M for the trapezoid (exact, so it keeps the bits of halving
-    # those integrands). Read-only, since every caller shares them.
-    alphas = a + np.arange(M + 1, dtype=np.float64) * ((b - a) / M)
-    S3 = _exp_sums(np.frombuffer(log_bytes), np.frombuffer(f_bytes, dtype=np.int64), alphas) ** 3
-    S3[[0, M]] *= 0.5
-    alphas.flags.writeable = S3.flags.writeable = False
-    return alphas, S3
+    # those integrands). Read-only, since every caller shares them. On the
+    # full circle the grid is _roots(M) instead of the alphas j/M, and S3
+    # holds j <= M/2 only: S(M - j) is conj(S(j)) for the real log weights,
+    # and S(M) is S(0).
+    logs, f = np.frombuffer(log_bytes), np.frombuffer(f_bytes, dtype=np.int64)
+    if (a, b) == (0.0, 1.0):
+        grid = _roots(M)
+        S3 = _exp_sums(logs, f, np.arange(M // 2 + 1), den=M) ** 3
+        S3[0] *= 0.5
+    else:
+        grid = a + np.arange(M + 1, dtype=np.float64) * ((b - a) / M)
+        S3 = _exp_sums(logs, f, grid) ** 3
+        S3[[0, M]] *= 0.5
+        grid.flags.writeable = False
+    S3.flags.writeable = False
+    return grid, S3
 
 
 def circle_integral(
@@ -264,11 +310,16 @@ def circle_integral(
     is exact by discrete orthogonality and equals the weighted ternary
     count; a coarser full-circle grid draws a GridTooCoarseWarning. On
     partial intervals this is plain quadrature with ordinary grid error.
+    A grid_size above 2^26 raises TooLarge before any work.
 
-    The cubed prime sum on the grid, O(grid * primes) exponentials, is
-    computed once per (table, log weights, interval, grid) and kept in a
-    small cache; each call then pays one O(grid) contraction against
-    e(-N alpha). Cached and cold calls give the same bits.
+    The cubed prime sum on the grid, O(grid * primes) terms, is computed
+    once per (table, log weights, interval, grid) and kept in a small
+    cache; each call then pays one O(grid) contraction against
+    e(-N alpha). Cached and cold calls give the same bits. On the interval
+    (0.0, 1.0) exactly, alpha = j/M and every phase is an exact integer
+    over M: the prime sums and e(-j N / M) are read from one table of the
+    M roots of unity, with no exponential per term or per target. Any
+    other interval forms its phases in floating point, alpha = a + j h.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (a < b):
@@ -278,6 +329,8 @@ def circle_integral(
     M = int(grid_size)
     if M < 16:
         raise InvalidParameter(f"grid_size must be at least 16, got {M}")
+    if M > _PAIR_SPAN_GUARD:
+        raise TooLarge(f"grid_size {M} exceeds the guard of {_PAIR_SPAN_GUARD} points")
     logs = log_weights(values, logs)
     f_max = int(values.f.max()) if len(values) else 0
     if b - a >= 1.0 - 1e-12 and M <= 3 * f_max:
@@ -286,10 +339,19 @@ def circle_integral(
             GridTooCoarseWarning,
             stacklevel=2,
         )
-    alphas, S3 = _cubed_sums(values.f.astype(np.int64).tobytes(), logs.tobytes(), a, b, M)
+    grid, S3 = _cubed_sums(values.f.astype(np.int64).tobytes(), logs.tobytes(), a, b, M)
+    full, step = (a, b) == (0.0, 1.0), (-N) % M
     total = 0.0 + 0.0j
-    for chunk in (slice(s, s + _ALPHA_CHUNK) for s in range(0, M + 1, _ALPHA_CHUNK)):
-        total += complex(np.sum(S3[chunk] * np.exp(-2j * np.pi * _frac(alphas[chunk] * N))))
+    for s in range(0, M + 1, _ALPHA_CHUNK):
+        chunk = slice(s, min(s + _ALPHA_CHUNK, M + 1))
+        if full:  # S3 at j from its half, e(-j N / M) from the roots
+            j = np.arange(chunk.start, chunk.stop)
+            S = S3[np.minimum(j, M - j)]
+            np.conjugate(S, out=S, where=(j > M // 2) & (j < M))
+            e = grid[j * step % M]
+        else:
+            S, e = S3[chunk], np.exp(-2j * np.pi * _frac(grid[chunk] * N))
+        total += complex(np.sum(S * e))
     return total * ((b - a) / M)
 
 

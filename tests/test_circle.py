@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanprimes import circle, count_ternary_mitm
+from tanprimes import circle, count_ternary_mitm, scan_band
 from tanprimes.circle import (
     circle_integral,
     fourier_coeff,
@@ -21,7 +21,7 @@ from tanprimes.circle import (
     smooth_exp_sum,
     sum_samples,
 )
-from tanprimes.errors import GridTooCoarseWarning, InvalidParameter, Singular
+from tanprimes.errors import GridTooCoarseWarning, InvalidParameter, Singular, TooLarge
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -159,6 +159,64 @@ def test_interval_rejections(table2, block2):
         circle_integral(table2, block2.logs, 9378, (0.0, 1.2))
     with pytest.raises(InvalidParameter):
         circle_integral(table2, block2.logs, 9378, grid_size=8)
+
+
+@pytest.mark.parametrize("M", [16, 17, 28003, 2 ** 19])
+def test_roots_table_conjugate_pairs(M):
+    # roots[M - r] equals conj(roots[r]) exactly (-1 at r = M/2 up to the
+    # sign of its zero), so the full circle's upper half of sums is the
+    # exact conjugate of its lower half
+    roots = circle._roots(M)
+    assert roots[0] == 1.0
+    assert np.array_equal(roots[1:], np.conj(roots[:0:-1]))
+    # np.exp of the unreduced phase errs by up to about 2 pi ulp(1) near r = M
+    assert np.max(np.abs(roots - np.exp(2j * np.pi * (np.arange(M) / M)))) < 2e-15
+    assert not roots.flags.writeable
+
+
+def test_full_circle_sums_band_counts_by_residue(table2, block2, pairmap2, w2):
+    # discrete orthogonality at any grid M: the full circle at N* is the
+    # sum of the weighted counts at every target t = N* (mod M) that a
+    # triple reaches, 3 min f <= t <= 3 max f. The grids alias 7, 2 or 1
+    # targets, on both sides of the exact cut 3 max f + 1. Tolerances from
+    # the measured gaps: real 8.2e-16 relative, |imag| 1.6e-12.
+    lo, hi = 3 * int(table2.f.min()), 3 * int(table2.f.max())
+    band = scan_band(table2, block2.logs, lo, hi, pair_map=pairmap2)
+    N, cut = w2.n_star, hi + 1
+    for M in (cut // 8, cut // 2, cut - 2, cut, 2 * cut):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarseWarning)
+            z = circle_integral(table2, block2.logs, N, (0.0, 1.0), M)
+        want = math.fsum(band.weighted[(band.N - N) % M == 0])
+        assert abs(z.real - want) <= 1e-15 * want, M
+        assert abs(z.imag) <= 2e-12, M
+
+
+def test_full_circle_agrees_with_meet_at_crosscheck_targets(table2, block2, pairmap2, w2):
+    # the crosscheck job's 24 seed-1 targets, three of them unreachable
+    # (weighted 0): measured gap up to 4.79e-12 * max(1, |w|)
+    M = 3 * int(table2.f.max()) + 1
+    for off in SEED1_OFFSETS:
+        rep = count_ternary_mitm(table2, block2.logs, w2.n_star + off, pair_map=pairmap2, w=w2)
+        z = circle_integral(table2, block2.logs, w2.n_star + off, (0.0, 1.0), M)
+        tol = 5e-12 * max(1.0, abs(rep.weighted))
+        assert abs(z.real - rep.weighted) <= tol and abs(z.imag) <= tol, off
+
+
+@pytest.mark.parametrize("M", [2 ** 26 + 1, 2 ** 40])
+def test_quadrature_refuses_huge_grid_before_allocating(table2, block2, M):
+    import tracemalloc
+
+    circle._cubed_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            circle_integral(table2, block2.logs, 9378, (0.0, 1.0), M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert circle._cubed_sums.cache_info().misses == 0
 
 
 def test_fourier_coeff_closed_forms():
@@ -613,24 +671,35 @@ def test_cached_quadrature_bits_equal_cold(table2, block2, w2):
 
 
 def _circle_integrals_reference(values, logs, Ns, interval, M):
-    # circle_integral as it was with np.mod phases, in the same alpha chunks
-    # and trapezoid layout, at each target of Ns
+    # circle_integral in the same alpha chunks and trapezoid layout, at each
+    # target of Ns. A partial arc forms its phases as it did with np.mod; the
+    # full circle gathers every term and e(-j N / M) from the table of the M
+    # roots at exact integer phases, np.outer(j, f) % M and (-j N) % M, with
+    # no use of the conjugate symmetry.
     a, b = interval
-    f = values.f.astype(np.float64)
+    full = (a, b) == (0.0, 1.0)
+    roots = circle._roots(M)
+    f = values.f.astype(np.int64 if full else np.float64)
     h = (b - a) / M
     totals = [0.0 + 0.0j] * len(Ns)
     starts = range(0, M + 1, circle._ALPHA_CHUNK)
     for i, start in enumerate(starts):
-        j = np.arange(start, min(start + circle._ALPHA_CHUNK, M + 1), dtype=np.float64)
+        j = np.arange(start, min(start + circle._ALPHA_CHUNK, M + 1))
         alphas = a + j * h
-        S = np.sum(np.exp(2j * np.pi * np.mod(alphas[:, None] * f[None, :], 1.0)) * logs[None, :], axis=1)
+        if full:
+            S = np.sum(roots[np.outer(j, f) % M] * logs[None, :], axis=1)
+        else:
+            S = np.sum(np.exp(2j * np.pi * np.mod(alphas[:, None] * f[None, :], 1.0)) * logs[None, :], axis=1)
         coeff = np.ones(len(alphas))
         if i == 0:
             coeff[0] = 0.5
         if i == len(starts) - 1:
             coeff[-1] = 0.5
         for t, N in enumerate(Ns):
-            integrand = S ** 3 * np.exp(-2j * np.pi * np.mod(alphas * N, 1.0))
+            if full:
+                integrand = S ** 3 * roots[(-j * N) % M]
+            else:
+                integrand = S ** 3 * np.exp(-2j * np.pi * np.mod(alphas * N, 1.0))
             totals[t] += complex(np.sum(integrand * coeff))
     return [total * ((b - a) / M) for total in totals]
 
@@ -650,10 +719,12 @@ def crosscheck_reference(table2, block2, w2):
 @pytest.mark.parametrize("chunk", [None, 1, 7, 10 ** 9])
 def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_reference, monkeypatch,
                                              chunk, width):
-    # floor phases give the np.mod bits: the crosscheck job's full circle and
-    # major arc at its 24 seed-1 targets, at every pool width and term chunk.
+    # the crosscheck job's full circle and major arc at its 24 seed-1
+    # targets, at every pool width and term chunk: the major arc's floor
+    # phases give the np.mod bits, and the full circle's table phases and
+    # conjugate half the bits of an exact-phase gather at every grid point.
     # At chunk 1 and 7 the 63-term prime sum takes one alpha per task, at
-    # the default and 10^9 a block of alphas per task.
+    # the default and 10^9 a block of alphas per task (at most every row).
     from tanprimes import pool
 
     if chunk is not None:
