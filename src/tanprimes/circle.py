@@ -20,11 +20,13 @@ left-hand side e(-x frac(y)) forms x * frac(y). _frac reduces the float
 phases alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits of
 np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
 float sum of more than 1 024 terms takes a dyadic alpha = num/d (every
-point of a power-of-two --grid) from d roots of unity and exact sums over
-the residue classes mod d, built in one chunked pass over the terms per
-call; any other float sum exponentiates its terms. The route depends on
-the sum and alpha alone, so no bit depends on the pool width or the term
-chunk.
+point of a power-of-two --grid) from exact sums over the residue classes
+mod d, built in one chunked pass over the terms per call: the d class
+sums are a sum with frequencies 0..d-1, summed at the numerators num over
+d by the same integer-phase path as the full circle, so one roots table,
+_roots, and one gather serve every exact phase. Any other float sum
+exponentiates its terms. The route depends on the sum and alpha alone, so
+no bit depends on the pool width or the term chunk.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
@@ -114,14 +116,15 @@ def _pairwise(start: int, n: int, leaf: int, at):
 
 
 def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
-    # d -> (the d roots of unity, V_d) for powers of two d | G: V_d[r] is
-    # W_d[r] - W_1/d (W_1 at d = 1) rounded once, W_d[r] the sum of the
-    # coefficients (of each real part) with frequency r mod d; None if one
-    # is not finite or reaches 2^970. np.bincount sums exact slices of the
-    # coefficients (_slice_units with rows n) per class f & (G - 1), a chunk
-    # at a time on the pool: every partial sum is an integer below 2^52
-    # units, so the class sums and their folds to d classes are exact in
-    # any order, and _join_slices rounds each once, -W_1/d one more slice.
+    # d -> V_d for powers of two d | G, the class sums that _exp_sums
+    # contracts with _roots(d): V_d[r] is W_d[r] - W_1/d (W_1 at d = 1)
+    # rounded once, W_d[r] the sum of the coefficients (of each real part)
+    # with frequency r mod d; None if one is not finite or reaches 2^970.
+    # np.bincount sums exact slices of the coefficients (_slice_units with
+    # rows n) per class f & (G - 1), a chunk at a time on the pool: every
+    # partial sum is an integer below 2^52 units, so the class sums and
+    # their folds to d classes are exact in any order, and _join_slices
+    # rounds each once, -W_1/d one more slice.
     n = len(freq)
     step = max(_TERM_CHUNK, 64)
     chunks = [slice(s, s + step) for s in range(0, n, step)]
@@ -150,10 +153,10 @@ def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
 
     @functools.cache
     def at(d):
-        shift = at(1)[1][0] / d if d > 1 else 0.0
+        shift = at(1)[0] / d if d > 1 else 0.0
         V = [_join_slices(np.vstack([acc.reshape(len(acc), G // d, d).sum(axis=1), np.full(d, -s)]))
              for acc, s in zip(accs, (shift.real, shift.imag))]
-        return np.exp(2j * np.pi * (np.arange(d) / d)), V[0] if len(V) == 1 else V[0] + 1j * V[1]
+        return V[0] if len(V) == 1 else V[0] + 1j * V[1]
 
     return at
 
@@ -168,10 +171,13 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
     #
     # A float sum of more than _CLASS_TERMS terms takes each alpha that _dyadic
     # admits by class: with alpha = num/d, the phase of alpha * f is exactly
-    # r/d, r = (num * f) mod d, so the sum is one np.sum of the products
-    # roots[num * r mod d] * W_d[r]. For d > 1, num is odd and the roots sum
-    # to 0, so V_d stands for W_d: the rounded roots weigh only the classes'
-    # deviations from their mean. Any other alpha is summed per term, in
+    # (num * (f mod d)) mod d over d, so the sum is that of the d class sums
+    # W_d[r] at frequencies r = 0..d-1, which the alphas of each d take as
+    # numerators over den = d: one np.sum of roots[num * r mod d] * W_d[r],
+    # the roots read from _roots(d) by the gather below. For d > 1, num is
+    # odd and the roots sum to 0, so V_d stands for W_d: the rounded roots
+    # weigh only the classes' deviations from their mean. Grouped by d, each
+    # table is built once a call. Any other alpha is summed per term, in
     # blocks of up to _TERM_CHUNK // n alphas (at least one) over each leaf
     # of _pairwise's tree; np.sum(axis=1) sums each row of a task's terms as
     # it sums a lone row. The exponential multiplies the coefficient, never
@@ -187,9 +193,9 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
         i: r for i, a in enumerate(alphas.tolist()) if (r := _dyadic(a, n, f_bound))}
     classes = ratios and _class_sums(coeff, freq, max(d for _, d in ratios.values()))
     out = np.empty(len(alphas), dtype=complex)
-    for i, (num, d) in ratios.items() if classes else ():
-        roots, V = classes(d)
-        out[i] = np.sum(roots[(num & (d - 1)) * np.arange(d) & (d - 1)] * V)
+    for d in dict.fromkeys(d for _, d in ratios.values()) if classes else ():
+        rows = [i for i, (_, e) in ratios.items() if e == d]
+        out[rows] = _exp_sums(classes(d), np.arange(d), [ratios[i][0] for i in rows], den=d)
     rest = np.delete(np.arange(len(alphas)), list(ratios) if classes else [])
     leaf = max(_TERM_CHUNK, 64)
     leaves = _pairwise(0, n, leaf, lambda s: [s])  # + joins lists

@@ -315,12 +315,12 @@ def _class_reference(coeff, freq, alpha):
     # a long sum at a dyadic alpha = num/d, independently of _class_sums:
     # math.fsum of the coefficients of each class f mod d less their mean
     # fsum(coeff)/d (nothing at d = 1), then the d products with the roots
-    # of unity, added by np.sum
+    # of unity of circle._roots(d), added by np.sum
     num, d = alpha.as_integer_ratio()
     re, im = (math.fsum(part.tolist()) / d if d > 1 else 0.0 for part in (coeff.real, coeff.imag))
     V = np.array([complex(math.fsum(g.real.tolist() + [-re]), math.fsum(g.imag.tolist() + [-im]))
                   for g in _class_groups(coeff, freq, d)])
-    roots = np.exp(2j * np.pi * (np.arange(d) / d))
+    roots = circle._roots(d)
     return complex(np.sum(roots[(num % d) * np.arange(d) % d] * V))
 
 
@@ -400,14 +400,14 @@ def _class_deviations(coeff, freq, d):
     return math.fsum(abs(math.fsum(g.tolist()) - mean) for g in _class_groups(coeff, freq, d))
 
 
-def _root_error(d):
-    # the largest distance of the rounded roots np.exp(2j pi r/d) from e(r/d)
+def _root_error(roots):
+    # the largest distance of the d rounded roots roots[r] from e(r/d)
     import mpmath
 
-    roots = np.exp(2j * np.pi * (np.arange(d) / d)).tolist()
+    d = len(roots)
     with mpmath.workprec(120):
         return max(float(abs(mpmath.mpc(z) - mpmath.expjpi(mpmath.mpf(2 * r) / d)))
-                   for r, z in enumerate(roots))
+                   for r, z in enumerate(roots.tolist()))
 
 
 @pytest.mark.parametrize("grid", [16, 256])
@@ -416,7 +416,8 @@ def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkey
     # opened to it) against the per-term route, which float64 frequencies
     # force. Against the exact sum T = sum_r e(num r/d) V_d[r] (V_d = W_d,
     # less their mean for d > 1, as the roots of unity sum to 0), with eps
-    # the largest error of the d rounded roots and u = 2^-53:
+    # the largest error of the d rounded roots each route reads (the table
+    # circle._roots(d) for the classes, np.exp for the terms) and u = 2^-53:
     #   class route:    (d + 1) u sum|V_d| + eps sum|V_d|  (V rounded once,
     #                   one product rounding, d - 1 additions in any order);
     #   per-term route: (1 + depth) u sum|coeff| + eps sum|coeff|  (one
@@ -430,16 +431,17 @@ def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkey
     freqs = circle._integer_freqs(w3)
     alphas = [-0.5 + j / grid for j in range(grid)]
     dens = [a.as_integer_ratio()[1] for a in alphas]
-    eps = {d: _root_error(d) for d in set(dens)}
+    eps_class = {d: _root_error(circle._roots(d)) for d in set(dens)}
+    eps_term = {d: _root_error(np.exp(2j * np.pi * (np.arange(d) / d))) for d in set(dens)}
     u = 2.0 ** -53
     for coeff, freq in ((block3.logs, table3.f), (wt, m), (np.ones(len(freqs)), freqs)):
         total = math.fsum(coeff)
-        dev = {d: _class_deviations(coeff, freq, d) for d in eps}
+        dev = {d: _class_deviations(coeff, freq, d) for d in eps_class}
         with pool.threads(2):
             got = circle._exp_sums(coeff, freq, alphas)
             want = circle._exp_sums(coeff, freq.astype(np.float64), alphas)
-        bound = np.array([(d + 1) * u * dev[d] + eps[d] * dev[d]
-                          + (1 + _pairwise_depth(len(freq))) * u * total + eps[d] * total
+        bound = np.array([(d + 1) * u * dev[d] + eps_class[d] * dev[d]
+                          + (1 + _pairwise_depth(len(freq))) * u * total + eps_term[d] * total
                           for d in dens]) * (1 + 1e-9)
         assert np.all(np.abs(got - want) <= bound), (len(freq), np.max(np.abs(got - want) / bound))
 
@@ -466,8 +468,27 @@ def test_class_route_within_derived_bound_of_200_bits(w3):
                 num, d = a.as_integer_ratio()
                 exact = mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator
                                     * mpmath.expjpi(mpmath.mpf(2 * num * r) / d) for r, w in enumerate(W))
-                dev = _class_deviations(coeff, freq, d)
-                assert float(abs(mpmath.mpc(z) - exact)) <= ((d + 1) * u + _root_error(d)) * dev * (1 + 1e-9)
+                bound = ((d + 1) * u + _root_error(circle._roots(d))) * _class_deviations(coeff, freq, d)
+                assert float(abs(mpmath.mpc(z) - exact)) <= bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("grid", [16, 256])
+def test_class_route_conjugate_symmetric(w3, grid):
+    # real coefficients: the class route reads the roots of unity from
+    # circle._roots, whose upper half is the exact conjugate of the lower,
+    # so S(-alpha) is conj S(alpha) bit for bit (up to the sign of a zero
+    # part) at every alpha = j/grid, and S(1/2), a real sum, has Im 0.0
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    alphas = [j / grid for j in range(1, grid // 2 + 1)]
+    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
+        assert len(freq) > circle._CLASS_TERMS
+        plus = circle._exp_sums(coeff, freq, alphas).tolist()
+        minus = circle._exp_sums(coeff, freq, [-a for a in alphas]).tolist()
+        assert [_hex(z.conjugate() + 0.0) for z in plus] == [_hex(z + 0.0) for z in minus]
+        assert circle._exp_sums(coeff, freq, [0.5])[0].imag == 0.0
 
 
 def test_class_route_at_integer_alpha_is_fsum(w3):
@@ -504,8 +525,9 @@ def test_dyadic_table_selection():
 
 def test_long_dyadic_sums_exponentiate_each_den_once(table4, block4, monkeypatch):
     # the k=4 prime sum at --grid 256: 17 656 terms, a long sum, so every
-    # alpha takes the class route, and the only exponentials are one table
-    # of d roots of unity per distinct den d, never one of term length
+    # alpha takes the class route, and the only exponentials are the lower
+    # half of one roots table circle._roots(d) per distinct den d (d/2 + 1
+    # roots, the rest conjugates), never one of term length
     assert len(table4) > circle._CLASS_TERMS
     alphas = [-0.5 + j / 256 for j in range(256)]
     sizes = []
@@ -517,7 +539,7 @@ def test_long_dyadic_sums_exponentiate_each_den_once(table4, block4, monkeypatch
 
     monkeypatch.setattr(np, "exp", counted_exp)
     sum_samples("prime", alphas, None, table4, block4.logs)
-    assert sum(sizes) <= sum({a.as_integer_ratio()[1] for a in alphas})
+    assert sum(sizes) <= sum(d // 2 + 1 for d in {a.as_integer_ratio()[1] for a in alphas})
     assert max(sizes) < len(table4)
 
 

@@ -167,7 +167,7 @@ def test_zero_report_out_of_range(table2, block2, monkeypatch):
     def refuse(*args):
         raise AssertionError("pair map built for a target no triple reaches")
 
-    monkeypatch.setattr(repcount, "_pair_map_from_arrays", refuse)
+    monkeypatch.setattr(repcount, "_pair_tables", refuse)
     lo = 3 * int(table2.f.min())
     rep = count_ternary_mitm(table2, block2.logs, lo - 1)
     assert rep.count == 0 and rep.weighted == 0.0
