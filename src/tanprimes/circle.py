@@ -19,14 +19,16 @@ forms alpha * N on a partial arc, and fourier_expansion_residual's
 left-hand side e(-x frac(y)) forms x * frac(y). _frac reduces the float
 phases alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits of
 np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
-float sum of more than 1 024 terms takes a dyadic alpha = num/d (every
-point of a power-of-two --grid) from exact sums over the residue classes
-mod d, built in one chunked pass over the terms per call: the d class
-sums are a sum with frequencies 0..d-1, summed at the numerators num over
-d by the same integer-phase path as the full circle, so one roots table,
-_roots, and one gather serve every exact phase. Any other float sum
-exponentiates its terms. The route depends on the sum and alpha alone, so
-no bit depends on the pool width or the term chunk.
+float sum of more than 1 024 terms with real coefficients takes a dyadic
+alpha = num/d (every point of a power-of-two --grid) from exact sums over
+the residue classes mod d, built in one serial pass over the terms per
+call, a chunk at a time: the d class sums are a sum with frequencies
+0..d-1, summed at the numerators num over d by the same integer-phase path
+as the full circle, so one roots table, _roots, and one gather serve every
+exact phase. Any other float sum, complex coefficients included,
+exponentiates its terms. The route depends on the sum's length, whether
+its coefficients are real, and alpha, so no bit depends on the pool width
+or the term chunk.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
@@ -53,7 +55,7 @@ from .seqeval import ValueTable, check_window_table, log_weights, value_table
 from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
-_TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums, at most
+_TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums and per class-sum chunk, at most
 _CLASS_TERMS = 1024   # longer sums take their dyadic alphas by residue class
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
@@ -115,50 +117,34 @@ def _pairwise(start: int, n: int, leaf: int, at):
     return _pairwise(start, half, leaf, at) + _pairwise(start + half, n - half, leaf, at)
 
 
-def _class_sums(coeff: np.ndarray, freq: np.ndarray, G: int):
-    # d -> V_d for powers of two d | G, the class sums that _exp_sums
-    # contracts with _roots(d): V_d[r] is W_d[r] - W_1/d (W_1 at d = 1)
-    # rounded once, W_d[r] the sum of the coefficients (of each real part)
-    # with frequency r mod d; None if one is not finite or reaches 2^970.
-    # np.bincount sums exact slices of the coefficients (_slice_units with
-    # rows n) per class f & (G - 1), a chunk at a time on the pool: every
-    # partial sum is an integer below 2^52 units, so the class sums and
-    # their folds to d classes are exact in any order, and _join_slices
-    # rounds each once, -W_1/d one more slice.
-    n = len(freq)
+def _class_sums(coeff: np.ndarray, freq: np.ndarray, dens) -> dict | None:
+    # d -> V_d for each power of two d in dens, the class sums that
+    # _exp_sums contracts with _roots(d): V_d[r] is W_d[r] - W_1/d (W_1 at
+    # d = 1) rounded once, W_d[r] the sum of the real coefficients with
+    # frequency r mod d; None if one is not finite or reaches 2^970. One
+    # serial pass over the terms, a chunk at a time, cuts the coefficients
+    # into exact slices (_slice_units with rows n) and np.bincount sums each
+    # slice per class f & (G - 1), G the largest d: every partial sum is an
+    # integer below 2^52 units, so the class sums and their folds to d
+    # classes are exact in any order, and _join_slices rounds each once,
+    # -W_1/d one more slice.
+    n, G = len(freq), max(dens)
     step = max(_TERM_CHUNK, 64)
     chunks = [slice(s, s + step) for s in range(0, n, step)]
-    parts = (coeff.real, coeff.imag) if np.iscomplexobj(coeff) else (coeff,)
-
-    def mags(x):  # |x| a chunk at a time
-        return (np.abs(x[c]) for c in chunks)
-
-    top = [np.max([a.max() for a in mags(x)]) for x in parts]
-    if not all(t < 2.0 ** 970 for t in top):
+    top, small = np.array([(a.max(), np.min(a, where=a > 0, initial=np.inf))
+                           for a in (np.abs(coeff[c]) for c in chunks)]).T
+    if not top.max() < 2.0 ** 970:
         return None
-    small = [np.min([np.min(a, where=a > 0, initial=np.inf) for a in mags(x)]) for x in parts]
-    units = [_slice_units(float(t), float(s), n) for t, s in zip(top, small)]
-    width = min(pool.WIDTH.get(), len(chunks))
-
-    def accumulate(i):  # chunks i, i + width, ...: a (slices, G) array per part
-        accs = [np.zeros((len(u), G)) for u in units]
-        for c in chunks[i::width]:
-            cls = (freq[c] & (G - 1)).astype(np.intp, copy=False)
-            for x, u, acc in zip(parts, units, accs):
-                for j, part in enumerate(_cut_slices(x[c].astype(np.float64), u)):
-                    acc[j] += np.bincount(cls, weights=part, minlength=G)
-        return accs
-
-    accs = [sum(task) for task in zip(*pool.map_chunks(accumulate, range(width)))]
-
-    @functools.cache
-    def at(d):
-        shift = at(1)[0] / d if d > 1 else 0.0
-        V = [_join_slices(np.vstack([acc.reshape(len(acc), G // d, d).sum(axis=1), np.full(d, -s)]))
-             for acc, s in zip(accs, (shift.real, shift.imag))]
-        return V[0] if len(V) == 1 else V[0] + 1j * V[1]
-
-    return at
+    units = _slice_units(float(top.max()), float(small.min()), n)
+    acc = np.zeros((len(units), G))
+    for c in chunks:
+        cls = (freq[c] & (G - 1)).astype(np.intp, copy=False)
+        for j, part in enumerate(_cut_slices(coeff[c].astype(np.float64), units)):
+            acc[j] += np.bincount(cls, weights=part, minlength=G)
+    W_1 = _join_slices(acc.sum(axis=1, keepdims=True))
+    return {d: _join_slices(np.vstack([acc.reshape(len(acc), G // d, d).sum(axis=1),
+                                       np.full(d, -W_1[0] / d)])) if d > 1 else W_1
+            for d in dens}
 
 
 def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = None) -> np.ndarray:
@@ -169,8 +155,9 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
     # from _roots(den) at (j * (f mod den)) mod den, which is below 2^52
     # before the reduction, so the phase is exact.
     #
-    # A float sum of more than _CLASS_TERMS terms takes each alpha that _dyadic
-    # admits by class: with alpha = num/d, the phase of alpha * f is exactly
+    # A float sum of more than _CLASS_TERMS terms with real coefficients takes
+    # each alpha that _dyadic admits by class (complex coefficients are
+    # summed per term): with alpha = num/d, the phase of alpha * f is exactly
     # (num * (f mod d)) mod d over d, so the sum is that of the d class sums
     # W_d[r] at frequencies r = 0..d-1, which the alphas of each d take as
     # numerators over den = d: one np.sum of roots[num * r mod d] * W_d[r],
@@ -188,15 +175,17 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
         table, freq = _roots(den), (freq % den).astype(np.int64, copy=False)
     else:
         alphas = np.asarray(alphas, dtype=np.float64)
-    f_bound = _freq_bound(freq) if n > _CLASS_TERMS and den is None else None
+    long_real = n > _CLASS_TERMS and den is None and not np.iscomplexobj(coeff)
+    f_bound = _freq_bound(freq) if long_real else None
     ratios = {} if f_bound is None else {
         i: r for i, a in enumerate(alphas.tolist()) if (r := _dyadic(a, n, f_bound))}
-    classes = ratios and _class_sums(coeff, freq, max(d for _, d in ratios.values()))
+    classes = ratios and _class_sums(coeff, freq, {d for _, d in ratios.values()}) or {}
+    ratios = ratios if classes else {}
     out = np.empty(len(alphas), dtype=complex)
-    for d in dict.fromkeys(d for _, d in ratios.values()) if classes else ():
+    for d, V in classes.items():
         rows = [i for i, (_, e) in ratios.items() if e == d]
-        out[rows] = _exp_sums(classes(d), np.arange(d), [ratios[i][0] for i in rows], den=d)
-    rest = np.delete(np.arange(len(alphas)), list(ratios) if classes else [])
+        out[rows] = _exp_sums(V, np.arange(d), [ratios[i][0] for i in rows], den=d)
+    rest = np.delete(np.arange(len(alphas)), list(ratios))
     leaf = max(_TERM_CHUNK, 64)
     leaves = _pairwise(0, n, leaf, lambda s: [s])  # + joins lists
     block = max(1, min(len(rest), _TERM_CHUNK // max(n, 1)))

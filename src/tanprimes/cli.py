@@ -44,7 +44,7 @@ def _band(text: str) -> tuple[int, int]:
 
 
 # The pool width every chunk size, memory bound and benchmark run was
-# measured at; it also bounds circle._class_sums' accumulators, one per thread.
+# measured at.
 _MAX_WIDTH = 2
 
 

@@ -203,6 +203,26 @@ def test_full_circle_agrees_with_meet_at_crosscheck_targets(table2, block2, pair
         assert abs(z.real - rep.weighted) <= tol and abs(z.imag) <= tol, off
 
 
+def test_full_circle_agrees_with_meet_at_k3(table3, block3, pairmap3, w3):
+    # M = 3 max f + 1 = 392 704 points over 992 primes, every phase an exact
+    # integer over M (about 1.5-1.8 s on a pool of 2). Tolerances from the
+    # measured gaps: real 8.9e-16, |imag| 2.5e-15 relative
+    from tanprimes import pool
+
+    M = 3 * int(table3.f.max()) + 1
+    assert (len(table3), M) == (992, 392704)
+    try:
+        with pool.threads(2):
+            for N in (w3.n_star, w3.n_star - 7, w3.n_star + 13):
+                z = circle_integral(table3, block3.logs, N, (0.0, 1.0), M)
+                rep = count_ternary_mitm(table3, block3.logs, N, pair_map=pairmap3, w=w3)
+                scale = max(1.0, abs(rep.weighted))
+                gap, imag = abs(z.real - rep.weighted) / scale, abs(z.imag) / scale
+                assert gap <= 1e-15 and imag <= 3e-15, (N, gap, imag)
+    finally:
+        circle._cubed_sums.cache_clear()
+
+
 @pytest.mark.parametrize("M", [2 ** 26 + 1, 2 ** 40])
 def test_quadrature_refuses_huge_grid_before_allocating(table2, block2, M):
     import tracemalloc
@@ -613,7 +633,7 @@ def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
 def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
     # the 97 578-term k=3 smooth sum over the power-of-two grid of expsum
     # --grid 1024: every alpha is dyadic and takes the class route, whose
-    # temporaries are one chunk of terms per thread, the class sums mod 1024
+    # temporaries are one chunk of terms, the class sums mod 1024
     # and one table of roots of unity per den (2 047 roots in all): 0.44 of
     # the grid's own bytes measured, where a table per alpha, all built
     # before the sums run, took 17.6 times them.
@@ -659,6 +679,30 @@ def test_class_sums_keep_memory_to_chunks(w4):
         finally:
             tracemalloc.stop()
     assert peak < (m.nbytes + wt.nbytes) / 4
+
+
+def test_class_sums_never_map_on_the_pool(w3, monkeypatch):
+    # the k=3 smooth and integer sums at expsum --grid 16 take every alpha
+    # by residue class in one serial pass: on a pool of 2, no map_chunks
+    # call gets two items, so none starts a thread. The terms are resolved
+    # (and cached) first, since the smooth weights map their Newton chunks.
+    from tanprimes import pool
+
+    for kind in ("smooth", "integer"):
+        circle._terms(kind, w3, None, None)
+    calls = []
+    map_chunks = pool.map_chunks
+
+    def spy(fn, items):
+        calls.append(len(items))
+        return map_chunks(fn, items)
+
+    monkeypatch.setattr(pool, "map_chunks", spy)
+    alphas = [-0.5 + j / 16 for j in range(16)]
+    with pool.threads(2):
+        for kind in ("smooth", "integer"):
+            sum_samples(kind, alphas, w3)
+    assert calls and max(calls) <= 1, calls
 
 
 def test_log_weights_must_match_table(table2, block2, w2):
@@ -762,13 +806,15 @@ def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_referenc
 def test_expansion_residual_bits_equal_np_mod(monkeypatch, chunk):
     # the right-hand side comes from _exp_sums: every returned statistic has
     # the bits of a 2-D np.mod reference, on a /16 grid of y and a
-    # non-dyadic one. The 2H+1 complex coefficients are a short sum, taken
-    # in blocks of y; at chunk 7 each y is its own task, and a dyadic y
-    # reads the roots-of-unity table.
+    # non-dyadic one. The 2H+1 complex coefficients are taken in blocks of
+    # y; at chunk 7 each y is its own task. At H = 512 they are a long sum
+    # (1 025 terms), which still exponentiates every term at a dyadic y:
+    # the class route takes real coefficients only.
     if chunk is not None:
         monkeypatch.setattr(circle, "_TERM_CHUNK", chunk)
+    assert 2 * 512 + 1 > circle._CLASS_TERMS
     for y in (np.arange(-40, 41) / 16, np.linspace(0.05, 0.95, 200)):
-        for H in (16, 256):
+        for H in (16, 256, 512):
             x = 0.37
             fy = np.mod(y, 1.0)
             lhs = np.exp(-2j * np.pi * x * fy)
