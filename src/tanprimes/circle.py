@@ -9,26 +9,34 @@ with integer frequencies:
 
 Each is sum_samples at one alpha. They, the full-circle quadrature and the
 Fourier residual take their sums from one kernel, _exp_sums, which forms
-the phases alpha * freq of every sum. It takes alpha either as a float or,
-on the full circle, as an integer numerator j over the grid's M: the phase
-of j * f is then exactly ((j * (f mod M)) mod M) / M, an index into one
-table of the M roots of unity, _roots(M). Two more phases are formed
-outside it: circle_integral's contraction against e(-N alpha) reads
-e(-j N / M) from the same table at (-j N) mod M on the full circle and
-forms alpha * N on a partial arc, and fourier_expansion_residual's
-left-hand side e(-x frac(y)) forms x * frac(y). _frac reduces the float
-phases alpha * freq, alpha * N and y mod 1 as x - floor(x) (the bits of
-np.mod(x, 1.0) for finite x), so that every integer alpha has phase 0. A
-float sum of more than 1 024 terms with real coefficients takes a dyadic
-alpha = num/d (every point of a power-of-two --grid) from exact sums over
-the residue classes mod d, built in one serial pass over the terms per
-call, a chunk at a time: the d class sums are a sum with frequencies
-0..d-1, summed at the numerators num over d by the same integer-phase path
-as the full circle, so one roots table, _roots, and one gather serve every
-exact phase. Any other float sum, complex coefficients included,
-exponentiates its terms. The route depends on the sum's length, whether
-its coefficients are real, and alpha, so no bit depends on the pool width
-or the term chunk.
+the phases alpha * freq of every sum, and one rule picks the route: an
+alpha's exact ratio num/d. An alpha is exactly num/d when it is a Fraction
+(expsum hands over (2j - G)/(2G) as one), or a finite float whose d is
+below the number of terms n; with integer frequencies the phase of
+alpha * f is then exactly ((num * (f mod d)) mod d) / d, an index into one
+table of the d roots of unity, _roots(d). A sum with real coefficients and
+d < n takes it from the d sums of its coefficients by residue class mod d,
+built in one serial pass over the terms, a chunk at a time, mod the lcm of
+the call's class dens (one pass per den if that lcm would reach n), and
+exact before one rounding each; every other exact alpha gathers each
+term's root from the same table. On the full circle alpha is handed over
+as an integer numerator j over the grid's M, and every term gathers from
+_roots(M). So one roots table and one gather serve every exact phase, and
+for real coefficients S(-alpha) is conj S(alpha) bit for bit. Floats
+remain where alpha is not such a ratio: the points of a partial arc and
+the Fourier residual's points y that are floats with d >= n (every one
+but a few dyadic ones such as 0), NaN and +-inf, and a Fraction with d
+over _PAIR_SPAN_GUARD. Their terms exponentiate the float phase
+alpha * freq. Two more phases are formed outside the kernel:
+circle_integral's contraction against e(-N alpha) reads e(-j N / M) from
+_roots(M) at (-j N) mod M on the full circle and forms alpha * N on a
+partial arc, and fourier_expansion_residual's left-hand side e(-x frac(y))
+forms x * frac(y). _frac reduces the float phases alpha * freq, alpha * N
+and y mod 1 as x - floor(x) (the bits of np.mod(x, 1.0) for finite x), so
+that every integer alpha has phase 0. The route depends on the alpha, the
+number of terms, whether the frequencies are integers and whether the
+coefficients are real, so no bit depends on the pool width, the term
+chunk or the other alphas of a call.
 
 The cubed prime sum on a quadrature grid does not depend on the target, so
 circle_integral caches it per (table, log weights, interval, grid), with
@@ -44,6 +52,7 @@ import cmath
 import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,7 +65,6 @@ from .window import WindowParams
 
 _ALPHA_CHUNK = 2048
 _TERM_CHUNK = 2 ** 16  # terms per pool task in _exp_sums and per class-sum chunk, at most
-_CLASS_TERMS = 1024   # longer sums take their dyadic alphas by residue class
 # Cached cubed-sum grids; a k=2 full circle (M = 28 003) holds about 0.7 MB.
 _CUBED_SUM_CACHE = 4
 
@@ -86,24 +94,17 @@ def _roots(M: int) -> np.ndarray:
     return roots
 
 
-def _freq_bound(freq: np.ndarray) -> int | None:
-    # max(1, max |f|) for integer frequencies, None for any other dtype.
-    # min and max, since np.abs(freq).max() makes a full-length temporary.
-    if freq.dtype.kind not in "iu":
-        return None
-    return max(1, -int(freq.min()), int(freq.max())) if len(freq) else 1
-
-
-def _dyadic(alpha: float, n: int, f_bound: int | None) -> tuple[int, int] | None:
-    # alpha = num/den with den a power of two, when num*f/den is exact for
-    # every frequency (|num|*max|f| < 2^53) and den is at most the n terms
-    # (2^-1074 would ask for 2^1074 classes); else None.
-    if f_bound is None or not math.isfinite(alpha):
-        return None
-    num, den = alpha.as_integer_ratio()
-    if den > n or abs(num) * f_bound >= 2 ** 53:
-        return None
-    return num, den
+def _ratio(alpha, n: int) -> tuple[int, int] | None:
+    # (num, d) with alpha = num/d in lowest terms and d at most
+    # _PAIR_SPAN_GUARD, for a Fraction, or for any other alpha taken as a
+    # float when that is finite and its d is below the n terms (2^-1074
+    # would ask for 2^1074 classes); else None.
+    if not isinstance(alpha, Fraction):
+        alpha = float(alpha)
+        if not math.isfinite(alpha) or alpha.as_integer_ratio()[1] >= n:
+            return None
+    num, d = alpha.as_integer_ratio()
+    return (num, d) if d <= _PAIR_SPAN_GUARD else None
 
 
 def _pairwise(start: int, n: int, leaf: int, at):
@@ -118,17 +119,18 @@ def _pairwise(start: int, n: int, leaf: int, at):
 
 
 def _class_sums(coeff: np.ndarray, freq: np.ndarray, dens) -> dict | None:
-    # d -> V_d for each power of two d in dens, the class sums that
-    # _exp_sums contracts with _roots(d): V_d[r] is W_d[r] - W_1/d (W_1 at
-    # d = 1) rounded once, W_d[r] the sum of the real coefficients with
-    # frequency r mod d; None if one is not finite or reaches 2^970. One
-    # serial pass over the terms, a chunk at a time, cuts the coefficients
-    # into exact slices (_slice_units with rows n) and np.bincount sums each
-    # slice per class f & (G - 1), G the largest d: every partial sum is an
-    # integer below 2^52 units, so the class sums and their folds to d
-    # classes are exact in any order, and _join_slices rounds each once,
-    # -W_1/d one more slice.
-    n, G = len(freq), max(dens)
+    # d -> V_d for each d in dens, whose lcm L is below the n terms: the
+    # class sums that _exp_sums contracts with _roots(d), V_d[r] being
+    # W_d[r] - W_1/d (W_1 at d = 1) rounded once, W_d[r] the sum of the real
+    # coefficients with frequency r mod d; None if one is not finite or
+    # reaches 2^970. One serial pass over the terms, a chunk at a time, cuts
+    # the coefficients into exact slices (_slice_units with rows n) and
+    # np.bincount sums each slice per class f mod L: every partial sum is an
+    # integer below 2^52 units, so the class sums and their folds to each d
+    # (class r mod L is class r mod d) are exact in any order, and
+    # _join_slices rounds each once, -W_1/d one more slice. So V_d does not
+    # depend on L.
+    n, L = len(freq), math.lcm(*dens)
     step = max(_TERM_CHUNK, 64)
     chunks = [slice(s, s + step) for s in range(0, n, step)]
     top, small = np.array([(a.max(), np.min(a, where=a > 0, initial=np.inf))
@@ -136,60 +138,67 @@ def _class_sums(coeff: np.ndarray, freq: np.ndarray, dens) -> dict | None:
     if not top.max() < 2.0 ** 970:
         return None
     units = _slice_units(float(top.max()), float(small.min()), n)
-    acc = np.zeros((len(units), G))
+    acc = np.zeros((len(units), L))
     for c in chunks:
-        cls = (freq[c] & (G - 1)).astype(np.intp, copy=False)
+        cls = (freq[c] % L).astype(np.intp, copy=False)
         for j, part in enumerate(_cut_slices(coeff[c].astype(np.float64), units)):
-            acc[j] += np.bincount(cls, weights=part, minlength=G)
+            acc[j] += np.bincount(cls, weights=part, minlength=L)
     W_1 = _join_slices(acc.sum(axis=1, keepdims=True))
-    return {d: _join_slices(np.vstack([acc.reshape(len(acc), G // d, d).sum(axis=1),
+    return {d: _join_slices(np.vstack([acc.reshape(len(acc), L // d, d).sum(axis=1),
                                        np.full(d, -W_1[0] / d)])) if d > 1 else W_1
             for d in dens}
 
 
 def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = None) -> np.ndarray:
-    # Sum of e(alpha * freq) * coeff at each alpha (floats, as a list or an
-    # array), with the phase reduced mod 1 first; exact at integer alpha.
-    # Given den (at most _PAIR_SPAN_GUARD), alphas are integer numerators j
-    # of j/den instead, for integer frequencies: each term reads its phase
-    # from _roots(den) at (j * (f mod den)) mod den, which is below 2^52
-    # before the reduction, so the phase is exact.
+    # Sum of e(alpha * freq) * coeff at each alpha of a sequence. Given den
+    # (at most _PAIR_SPAN_GUARD), alphas are integer numerators j of j/den
+    # instead, for integer frequencies: each term reads its phase from
+    # _roots(den) at (j * (f mod den)) mod den, which is below 2^52 before
+    # the reduction, so the phase is exact.
     #
-    # A float sum of more than _CLASS_TERMS terms with real coefficients takes
-    # each alpha that _dyadic admits by class (complex coefficients are
-    # summed per term): with alpha = num/d, the phase of alpha * f is exactly
-    # (num * (f mod d)) mod d over d, so the sum is that of the d class sums
-    # W_d[r] at frequencies r = 0..d-1, which the alphas of each d take as
-    # numerators over den = d: one np.sum of roots[num * r mod d] * W_d[r],
-    # the roots read from _roots(d) by the gather below. For d > 1, num is
-    # odd and the roots sum to 0, so V_d stands for W_d: the rounded roots
-    # weigh only the classes' deviations from their mean. Grouped by d, each
-    # table is built once a call. Any other alpha is summed per term, in
-    # blocks of up to _TERM_CHUNK // n alphas (at least one) over each leaf
-    # of _pairwise's tree; np.sum(axis=1) sums each row of a task's terms as
-    # it sums a lone row. The exponential multiplies the coefficient, never
-    # the other way: numpy's complex product is not bit-commutative.
+    # Otherwise an alpha's exact ratio picks its route. With integer
+    # frequencies, an alpha that _ratio gives as num/d has the exact phase
+    # (num * (f mod d)) mod d over d, and is summed by the gather above at
+    # numerator num mod d over den = d. With real coefficients and d below
+    # the n terms, the gather reads the d class sums V_d of _class_sums, a
+    # sum with frequencies r = 0..d-1, in place of the n terms (unless
+    # _class_sums returns None): one pass over the terms mod the lcm of those
+    # dens when it is below n, else one pass per den, so that no alpha's
+    # bits depend on the other alphas. For d > 1, num is prime to d and the
+    # roots sum to 0, so V_d stands for W_d: the rounded roots weigh only the
+    # classes' deviations from their mean. Any other alpha (a float with
+    # d >= n, NaN, +-inf, a Fraction with d over _PAIR_SPAN_GUARD, or any
+    # alpha of float frequencies) is summed per term from the float phase
+    # alpha * f reduced mod 1.
+    # The terms of a gather or a per-term sum go in blocks of up to
+    # _TERM_CHUNK // n alphas (at least one) over each leaf of _pairwise's
+    # tree; np.sum(axis=1) sums each row of a task's terms as it sums a lone
+    # row. The root or exponential multiplies the coefficient, never the
+    # other way: numpy's complex product is not bit-commutative.
     n = len(freq)
-    if den is not None:
+    if den is None:
+        ratios = [_ratio(a, n) if freq.dtype.kind in "iu" else None for a in alphas]
+        exact = {}  # d -> the rows of the alphas num/d; None -> the rest
+        for i, r in enumerate(ratios):
+            exact.setdefault(r and r[1], []).append(i)
+        rest = np.array(exact.pop(None, []), dtype=np.intp)
+        class_dens = [] if np.iscomplexobj(coeff) else [d for d in exact if d < n]
+        classes = {}
+        for group in [class_dens] if math.lcm(*class_dens) < n else [[d] for d in class_dens]:
+            classes.update(group and _class_sums(coeff, freq, group) or {})
+        out = np.empty(len(ratios), dtype=complex)
+        for d, rows in exact.items():
+            terms = (classes[d], np.arange(d)) if d in classes else (coeff, freq)
+            out[rows] = _exp_sums(*terms, [ratios[i][0] % d for i in rows], den=d)
+        alphas = np.array([float(alphas[i]) for i in rest], dtype=np.float64)
+    else:
         alphas = np.asarray(alphas, dtype=np.int64) % den
         table, freq = _roots(den), (freq % den).astype(np.int64, copy=False)
-    else:
-        alphas = np.asarray(alphas, dtype=np.float64)
-    long_real = n > _CLASS_TERMS and den is None and not np.iscomplexobj(coeff)
-    f_bound = _freq_bound(freq) if long_real else None
-    ratios = {} if f_bound is None else {
-        i: r for i, a in enumerate(alphas.tolist()) if (r := _dyadic(a, n, f_bound))}
-    classes = ratios and _class_sums(coeff, freq, {d for _, d in ratios.values()}) or {}
-    ratios = ratios if classes else {}
-    out = np.empty(len(alphas), dtype=complex)
-    for d, V in classes.items():
-        rows = [i for i, (_, e) in ratios.items() if e == d]
-        out[rows] = _exp_sums(V, np.arange(d), [ratios[i][0] for i in rows], den=d)
-    rest = np.delete(np.arange(len(alphas)), list(ratios))
+        out, rest = np.empty(len(alphas), dtype=complex), np.arange(len(alphas))
     leaf = max(_TERM_CHUNK, 64)
     leaves = _pairwise(0, n, leaf, lambda s: [s])  # + joins lists
     block = max(1, min(len(rest), _TERM_CHUNK // max(n, 1)))
-    blocks = [rest[s:s + block] for s in range(0, len(rest), block)]
+    blocks = [slice(s, s + block) for s in range(0, len(rest), block)]
 
     def run(task):
         rows, s = task
@@ -204,16 +213,16 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
 
     sums = iter(pool.map_chunks(run, [(rows, s) for rows in blocks for s in leaves]))
     for rows in blocks:
-        out[rows] = _pairwise(0, n, leaf, lambda s: next(sums))
+        out[rest[rows]] = _pairwise(0, n, leaf, lambda s: next(sums))
     return out
 
 
-def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float) -> complex:
+def prime_exp_sum(values: ValueTable, logs: np.ndarray, alpha: float | Fraction) -> complex:
     """Sum of log(p) * e(alpha * f(p)) over the table's primes."""
     return sum_samples("prime", [alpha], None, values, logs)[0]
 
 
-def smooth_exp_sum(w: WindowParams, alpha: float) -> complex:
+def smooth_exp_sum(w: WindowParams, alpha: float | Fraction) -> complex:
     """Sum of weight(m) * e(alpha * m) over the integer target grid."""
     return sum_samples("smooth", [alpha], w)[0]
 
@@ -228,7 +237,7 @@ def _integer_freqs(w: WindowParams) -> np.ndarray:
     return f
 
 
-def integer_exp_sum(w: WindowParams, alpha: float) -> complex:
+def integer_exp_sum(w: WindowParams, alpha: float | Fraction) -> complex:
     """Sum of e(alpha * f(n)) over every integer n in (delta1, delta2]."""
     return sum_samples("integer", [alpha], w)[0]
 
@@ -260,12 +269,14 @@ def sum_samples(
 ) -> list[complex]:
     """One of the three sums ("prime", "smooth" or "integer") at each alpha.
 
+    An alpha is a float or a Fraction; a Fraction is summed at its exact
+    value, and so is a float whose denominator is below the number of terms.
     The coefficients and frequencies are resolved once, before any sum
     runs, so the pool inside _exp_sums never enters a cached function.
     A prime sum reads values and logs, the other two the window w.
     """
     coeff, freq = _terms(kind, w, values, logs)
-    return _exp_sums(coeff, freq, [float(a) for a in alphas]).tolist()
+    return _exp_sums(coeff, freq, list(alphas)).tolist()
 
 
 @functools.lru_cache(maxsize=_CUBED_SUM_CACHE)
@@ -314,7 +325,9 @@ def circle_integral(
     (0.0, 1.0) exactly, alpha = j/M and every phase is an exact integer
     over M: the prime sums and e(-j N / M) are read from one table of the
     M roots of unity, with no exponential per term or per target. Any
-    other interval forms its phases in floating point, alpha = a + j h.
+    other interval forms its grid alpha = a + j h in floating point, and
+    the prime sum takes each point by _exp_sums' rule: float phases,
+    except at a point num/d with d below the primes, such as 0.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (a < b):

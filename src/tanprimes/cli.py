@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     output(sp)
     sp = add("expsum", _cmd_expsum, "exponential sum samples on an alpha grid")
     sp.add_argument("--kind", choices=("prime", "smooth", "integer"), default="prime")
-    sp.add_argument("--grid", type=int, default=256, help="number of alpha samples")
+    sp.add_argument("--grid", type=int, default=256,
+                    help="number of alpha samples -1/2 + j/GRID, j = 0..GRID-1; each sum "
+                         "takes alpha as the exact fraction, so every phase is exact")
     output(add("exponents", _cmd_exponents, "exact exponent chain and prior bounds",
                window=False))
     add("selftest", None, "run the built-in identity checks", window=False)
@@ -220,10 +222,12 @@ def _cmd_expsum(a):
     if a.grid > _GRID_GUARD:
         raise BandTooWide(f"--grid {a.grid} exceeds {_GRID_GUARD} alphas")
     values, logs = _table(w) if a.kind == "prime" else (None, None)
-    alphas = [-0.5 + j / a.grid for j in range(a.grid)]
-    z = circle.sum_samples(a.kind, alphas, w, values, logs)
-    cols = {"alpha": np.array(alphas), "re": np.array([v.real for v in z]),
-            "im": np.array([v.imag for v in z]), "abs": np.array([abs(v) for v in z])}
+    # the sums take each alpha = (2j - G)/(2G) exactly; the column prints -0.5 + j/G
+    exact = [Fraction(2 * j - a.grid, 2 * a.grid) for j in range(a.grid)]
+    z = circle.sum_samples(a.kind, exact, w, values, logs)
+    cols = {"alpha": np.array([-0.5 + j / a.grid for j in range(a.grid)]),
+            "re": np.array([v.real for v in z]), "im": np.array([v.imag for v in z]),
+            "abs": np.array([abs(v) for v in z])}
     return _columns_out(cols, "%.12g,%.12g,%.12g,%.12g\n", kind=a.kind,
                         window=dataclasses.asdict(w))
 

@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,10 +333,10 @@ def _class_groups(coeff, freq, d):
 
 
 def _class_reference(coeff, freq, alpha):
-    # a long sum at a dyadic alpha = num/d, independently of _class_sums:
-    # math.fsum of the coefficients of each class f mod d less their mean
-    # fsum(coeff)/d (nothing at d = 1), then the d products with the roots
-    # of unity of circle._roots(d), added by np.sum
+    # an exact alpha = num/d of a sum of more than d terms, independently of
+    # _class_sums: math.fsum of the coefficients of each class f mod d less
+    # their mean fsum(coeff)/d (nothing at d = 1), then the d products with
+    # the roots of unity of circle._roots(d), added by np.sum
     num, d = alpha.as_integer_ratio()
     re, im = (math.fsum(part.tolist()) / d if d > 1 else 0.0 for part in (coeff.real, coeff.imag))
     V = np.array([complex(math.fsum(g.real.tolist() + [-re]), math.fsum(g.imag.tolist() + [-im]))
@@ -344,27 +345,47 @@ def _class_reference(coeff, freq, alpha):
     return complex(np.sum(roots[(num % d) * np.arange(d) % d] * V))
 
 
+def _gather_reference(coeff, freq, alpha):
+    # an exact alpha = num/d over every term: the root of circle._roots(d)
+    # at (num * f) mod d times the coefficient, added by np.sum
+    num, d = alpha.as_integer_ratio()
+    return complex(np.sum(circle._roots(d)[(num % d) * (freq % d) % d] * coeff))
+
+
 def _expected(coeff, freq, alpha):
-    # the class reference where _exp_sums takes the class route, else the
-    # whole-array np.mod sum
-    if len(freq) > circle._CLASS_TERMS and circle._dyadic(alpha, len(freq), circle._freq_bound(freq)):
+    # the route the rule picks, each from a reference that shares no code
+    # with it: alpha = num/d exactly (a Fraction, or a finite float with d
+    # below the n terms; d at most 2^26) takes the class reference for real
+    # coefficients and d < n, else the gather reference; any other alpha
+    # the whole-array np.mod sum at float(alpha)
+    n = len(freq)
+    exact = isinstance(alpha, Fraction) or (math.isfinite(alpha) and alpha.as_integer_ratio()[1] < n)
+    d = alpha.as_integer_ratio()[1] if exact else None
+    if not exact or d > 2 ** 26:
+        return _exp_sum_reference(coeff, freq, float(alpha))
+    if d < n and not np.iscomplexobj(coeff):
         return _class_reference(coeff, freq, alpha)
-    return _exp_sum_reference(coeff, freq, alpha)
+    return _gather_reference(coeff, freq, alpha)
 
 
-_BIT_ALPHAS = [-0.5, -0.4375, 0.0, -0.0, 1 / 3, 0.5, 1.0, -3.0, 2.5, 2.0 ** 40 + 0.5]
+_BIT_ALPHAS = [-0.5, -0.4375, 0.0, -0.0, 1 / 3, 0.5, 1.0, -3.0, 2.5, 2.0 ** 40 + 0.5,
+               Fraction(-1, 3), Fraction(5, 12), Fraction(-7, 10), Fraction(2 ** 70 + 1, 3),
+               Fraction(1, 2 ** 26 + 1)]
 
 
 def _edge_alphas(freq):
-    # dyadic alphas on both sides of each condition for the class route:
-    # den at and above the largest power of two <= len(freq), and
-    # |num| * max|f| just below and just above 2^53 (den = 2)
-    lo = 1 << (len(freq).bit_length() - 1)
+    # alphas on both sides of each condition of the rule: a float with d at
+    # and above the largest power of two <= len(freq); Fractions with
+    # d = n - 1, n and n + 1; and floats whose |num| * max|f| is just below
+    # and just above 2^53 (d = 2), which the phase takes exactly either way
+    n = len(freq)
+    lo = 1 << (n.bit_length() - 1)
     f_max = int(np.abs(freq).max())
     below = (2 ** 53 - 1) // f_max
     below -= 1 - below % 2
     above = below + 2
     return [1 / lo, -3 / lo, 1 / (2 * lo), -5 / (2 * lo),
+            Fraction(1, n - 1), Fraction(-1, n), Fraction(1, n + 1),
             below / 2, -below / 2, above / 2, -above / 2]
 
 
@@ -374,10 +395,9 @@ def _edge_alphas(freq):
 ])
 def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
     # every kind at every alpha, for any term chunk (one term, seven, past
-    # the array) and pool width: a dyadic alpha of a sum of more than
-    # _CLASS_TERMS terms .hex()-equal to the per-class fsum reference, every
-    # other alpha (non-dyadic, or of a short sum) to the whole-array np.mod
-    # sum. At k=2 the smooth sum is long, at k=3 the smooth and integer sums.
+    # the array) and pool width, .hex()-equal to the reference of the route
+    # the rule picks (_expected): the per-class fsum reference, the gather
+    # reference or the whole-array np.mod sum
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
@@ -395,9 +415,10 @@ def test_exp_sum_bits_equal_whole_array(request, monkeypatch, k, chunk, width):
             got = sum_samples(kind, alphas, w, values=table, logs=block.logs)
             assert [_hex(z) for z in got] == want, kind
             assert [_hex(circle._exp_sums(coeff, freq, [a])[0]) for a in alphas] == want
-            # den = len(freq) exactly, and den = 2 len(freq)
+            # n a power of two: a float with d = n, and d = 2n, goes per term,
+            # a Fraction with d = n - 1 by class, one with d = n by the gather
             n = 1 << (len(freq).bit_length() - 1)
-            for a in (1 / n, -3 / n, 1 / (2 * n), 3 / (2 * n)):
+            for a in (1 / n, -3 / n, 1 / (2 * n), 3 / (2 * n), Fraction(1, n - 1), Fraction(-1, n)):
                 assert (_hex(circle._exp_sums(coeff[:n], freq[:n], [a])[0])
                         == _hex(_expected(coeff[:n], freq[:n], a)))
 
@@ -431,10 +452,10 @@ def _root_error(roots):
 
 
 @pytest.mark.parametrize("grid", [16, 256])
-def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkeypatch, grid):
-    # every kind at k=3 (the 992-term prime sum too, with the class route
-    # opened to it) against the per-term route, which float64 frequencies
-    # force. Against the exact sum T = sum_r e(num r/d) V_d[r] (V_d = W_d,
+def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, grid):
+    # every kind at k=3 (the 992-term prime sum too) against the per-term
+    # route, which float64 frequencies force. Against the exact sum
+    # T = sum_r e(num r/d) V_d[r] (V_d = W_d,
     # less their mean for d > 1, as the roots of unity sum to 0), with eps
     # the largest error of the d rounded roots each route reads (the table
     # circle._roots(d) for the classes, np.exp for the terms) and u = 2^-53:
@@ -446,7 +467,6 @@ def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkey
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
-    monkeypatch.setattr(circle, "_CLASS_TERMS", 0)
     m, wt = grid_weights(w3)
     freqs = circle._integer_freqs(w3)
     alphas = [-0.5 + j / grid for j in range(grid)]
@@ -466,89 +486,142 @@ def test_class_route_within_derived_bound_of_per_term(w3, table3, block3, monkey
         assert np.all(np.abs(got - want) <= bound), (len(freq), np.max(np.abs(got - want) / bound))
 
 
-def test_class_route_within_derived_bound_of_200_bits(w3):
-    # the k=3 smooth and integer sums at expsum --grid 16 against a 200-bit
-    # evaluation from exact class sums: the class route errs by at most
+def _within_200_bits(coeff, freq, alphas):
+    # each sum at the exact alphas num/d against a 200-bit contraction of the
+    # exact class sums W[r] mod L, the lcm of the dens (e(alpha f) depends
+    # only on f mod L), within the class route's bound: it errs by at most
     # (d + 1) u sum|V_d| + eps sum|V_d| (see above), far inside the
     # per-term route's eps sum|coeff|, since the classes nearly cancel
     import mpmath
-    from fractions import Fraction
 
-    from tanprimes.asymptotics import grid_weights
-
-    m, wt = grid_weights(w3)
-    freqs = circle._integer_freqs(w3)
-    alphas = [-0.5 + j / 16 for j in range(16)]
     u = 2.0 ** -53
-    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
-        W = [sum(map(Fraction, coeff[freq % 16 == r].tolist()), Fraction(0)) for r in range(16)]
-        got = circle._exp_sums(coeff, freq, alphas)
-        with mpmath.workprec(200):
-            for z, a in zip(got.tolist(), alphas):
-                num, d = a.as_integer_ratio()
-                exact = mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator
-                                    * mpmath.expjpi(mpmath.mpf(2 * num * r) / d) for r, w in enumerate(W))
-                bound = ((d + 1) * u + _root_error(circle._roots(d))) * _class_deviations(coeff, freq, d)
-                assert float(abs(mpmath.mpc(z) - exact)) <= bound * (1 + 1e-9)
+    L = math.lcm(*(Fraction(a).denominator for a in alphas))
+    W = [sum(map(Fraction, coeff[freq % L == r].tolist()), Fraction(0)) for r in range(L)]
+    got = circle._exp_sums(coeff, freq, alphas)
+    with mpmath.workprec(200):
+        for z, a in zip(got.tolist(), alphas):
+            num, d = a.as_integer_ratio()
+            exact = mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator
+                                * mpmath.expjpi(mpmath.mpf(2 * num * r) / d) for r, w in enumerate(W))
+            bound = ((d + 1) * u + _root_error(circle._roots(d))) * _class_deviations(coeff, freq, d)
+            err = float(abs(mpmath.mpc(z) - exact))
+            assert err <= bound * (1 + 1e-9), (a, err, bound)
 
 
-@pytest.mark.parametrize("grid", [16, 256])
-def test_class_route_conjugate_symmetric(w3, grid):
-    # real coefficients: the class route reads the roots of unity from
-    # circle._roots, whose upper half is the exact conjugate of the lower,
-    # so S(-alpha) is conj S(alpha) bit for bit (up to the sign of a zero
-    # part) at every alpha = j/grid, and S(1/2), a real sum, has Im 0.0
+def test_class_route_within_derived_bound_of_200_bits(w3):
+    # the k=3 smooth and integer sums at expsum --grid 16, float alphas
     from tanprimes.asymptotics import grid_weights
 
     m, wt = grid_weights(w3)
     freqs = circle._integer_freqs(w3)
-    alphas = [j / grid for j in range(1, grid // 2 + 1)]
     for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
-        assert len(freq) > circle._CLASS_TERMS
+        _within_200_bits(coeff, freq, [-0.5 + j / 16 for j in range(16)])
+
+
+def test_grid_12_within_derived_bound_of_200_bits(w3):
+    # the k=3 smooth and integer sums at expsum --grid 12, alpha = (2j - 12)/24
+    # as expsum passes it: every phase exact, by residue class mod 12. The
+    # float phases alpha * f missed this bound by orders of magnitude.
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
+        _within_200_bits(coeff, freq, [Fraction(2 * j - 12, 24) for j in range(12)])
+
+
+@pytest.mark.parametrize("grid", [1, 12, 16, 256])
+def test_class_route_conjugate_symmetric(w3, table2, block2, grid):
+    # real coefficients at every alpha = (2j - G)/(2G) of expsum --grid G, the
+    # 63-term k=2 prime sum among them: the classes are contracted with the
+    # roots of circle._roots, whose upper half is the exact conjugate of the
+    # lower, so S(-alpha) is conj S(alpha) bit for bit (up to the sign of a
+    # zero part), and S(-1/2), a real sum, has Im 0.0
+    from tanprimes.asymptotics import grid_weights
+
+    m, wt = grid_weights(w3)
+    freqs = circle._integer_freqs(w3)
+    alphas = [Fraction(2 * j - grid, 2 * grid) for j in range(grid)]
+    for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs), (block2.logs, table2.f)):
         plus = circle._exp_sums(coeff, freq, alphas).tolist()
         minus = circle._exp_sums(coeff, freq, [-a for a in alphas]).tolist()
         assert [_hex(z.conjugate() + 0.0) for z in plus] == [_hex(z + 0.0) for z in minus]
-        assert circle._exp_sums(coeff, freq, [0.5])[0].imag == 0.0
+        assert circle._exp_sums(coeff, freq, [Fraction(-1, 2)])[0].imag == 0.0
 
 
 def test_class_route_at_integer_alpha_is_fsum(w3):
-    # a long sum at an integer alpha is one class: the correctly rounded
-    # sum of the coefficients, with a zero imaginary part
+    # a sum at an integer alpha (d = 1, below the terms) is one class: the
+    # correctly rounded sum of the coefficients, with a zero imaginary part
     from tanprimes.asymptotics import grid_weights
 
     m, wt = grid_weights(w3)
     freqs = circle._integer_freqs(w3)
     for coeff, freq in ((wt, m), (np.ones(len(freqs)), freqs)):
-        assert len(freq) > circle._CLASS_TERMS
-        for z in circle._exp_sums(coeff, freq, [0.0, -0.0, 1.0, -3.0]):
+        for z in circle._exp_sums(coeff, freq, [0.0, -0.0, 1.0, -3.0, Fraction(2)]):
             assert (z.real, z.imag) == (math.fsum(coeff), 0.0)
 
 
-def test_dyadic_table_selection():
-    # which alphas take the class route: the conditions at their edges
-    freq = np.array([-3, 5, 2 ** 20, 7], dtype=np.int64)
-    bound = circle._freq_bound(freq)
-    assert bound == 2 ** 20
-    assert circle._dyadic(0.25, 4, bound) == (1, 4)
-    assert circle._dyadic(0.125, 4, bound) is None           # den > len(freq)
-    assert circle._dyadic(-0.0, 4, bound) == (0, 1)
-    assert circle._dyadic(1 / 3, 4, bound) is None
-    assert circle._dyadic((2 ** 33 - 1) / 2, 4, bound) == (2 ** 33 - 1, 2)
-    assert circle._dyadic(2.0 ** 33, 4, bound) is None       # |num| max f = 2^53
-    for alpha in (math.nan, math.inf, -math.inf):
-        assert circle._dyadic(alpha, 4, bound) is None
-    assert circle._freq_bound(freq.astype(np.float64)) is None
-    assert circle._freq_bound(np.zeros(0, dtype=np.int64)) == 1
-    # all-zero frequencies still keep num below 2^53
-    assert circle._dyadic(2.0 ** 60, 4, circle._freq_bound(np.zeros(4, dtype=np.int64))) is None
+def test_exact_route_selection(monkeypatch):
+    # which route each alpha takes, at the edges of the rule, on a sum of
+    # n = 8 real terms: class sums for an exact num/d with d < n (a float's d
+    # below n, any Fraction's), the gather over the terms for a Fraction with
+    # d >= n, per term for the rest; each .hex()-equal to its reference
+    coeff = np.linspace(1.0, 2.0, 8)
+    freq = np.array([-3, 5, 2 ** 20, 7, 0, 11, 2 ** 40, -9], dtype=np.int64)
+    calls = []
+    class_sums, exp_sums = circle._class_sums, circle._exp_sums
+
+    def class_spy(c, f, dens):
+        calls.append(("class", sorted(dens)))
+        return class_sums(c, f, dens)
+
+    def exp_spy(c, f, alphas, den=None):
+        calls.append(("gather", den, len(f)))
+        return exp_sums(c, f, alphas, den)
+
+    monkeypatch.setattr(circle, "_class_sums", class_spy)
+    monkeypatch.setattr(circle, "_exp_sums", exp_spy)
+
+    def route(alphas, c=coeff, f=freq):
+        calls.clear()
+        got = exp_sums(c, f, alphas)
+        assert [_hex(z) for z in got.tolist()] == [_hex(_expected(c, f, a)) for a in alphas]
+        return list(calls)
+
+    assert route([0.25]) == [("class", [4]), ("gather", 4, 4)]
+    assert route([0.125]) == []                                   # a float's d = n: per term
+    assert route([Fraction(1, 7)]) == [("class", [7]), ("gather", 7, 7)]   # d = n - 1
+    assert route([Fraction(1, 8)]) == [("gather", 8, 8)]           # d = n: the terms
+    assert route([Fraction(-3, 10)]) == [("gather", 10, 8)]
+    assert route([2.0 ** 60, -0.0]) == [("class", [1]), ("gather", 1, 1)]
+    assert route([(2 ** 33 - 1) / 2]) == [("class", [2]), ("gather", 2, 2)]
+    assert route([Fraction(1, 2 ** 26 + 1), 1 / 3]) == []          # d over the guard; d = 2^54
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert route([math.nan, math.inf, -math.inf]) == []
+    # an lcm of the class dens that reaches n: one pass per den, so the
+    # class table stays below the terms and every alpha keeps its bits
+    assert route([Fraction(1, 3), Fraction(1, 4), 0.5]) == [
+        ("class", [3]), ("class", [4]), ("class", [2]),
+        ("gather", 3, 3), ("gather", 4, 4), ("gather", 2, 2)]
+    assert route([Fraction(1, 4), 0.5]) == [("class", [2, 4]), ("gather", 4, 4), ("gather", 2, 2)]
+    # complex coefficients take the gather, float frequencies the per-term
+    # route, and a numpy scalar is taken as a float
+    assert route([0.25], c=coeff * (1 + 1j)) == [("gather", 4, 8)]
+    assert _hex(exp_sums(coeff, freq, [np.int64(-3)])[0]) == _hex(exp_sums(coeff, freq, [-3.0])[0])
+    calls.clear()
+    alphas, f64 = [0.25, Fraction(1, 3)], freq.astype(np.float64)
+    got = exp_sums(coeff, f64, alphas)
+    assert calls == []
+    assert [_hex(z) for z in got.tolist()] == [_hex(_exp_sum_reference(coeff, f64, float(a))) for a in alphas]
 
 
 def test_long_dyadic_sums_exponentiate_each_den_once(table4, block4, monkeypatch):
-    # the k=4 prime sum at --grid 256: 17 656 terms, a long sum, so every
-    # alpha takes the class route, and the only exponentials are the lower
-    # half of one roots table circle._roots(d) per distinct den d (d/2 + 1
-    # roots, the rest conjugates), never one of term length
-    assert len(table4) > circle._CLASS_TERMS
+    # the k=4 prime sum at --grid 256: 17 656 terms, more than every den, so
+    # every alpha takes the class route, and the only exponentials are the
+    # lower half of one roots table circle._roots(d) per distinct den d
+    # (d/2 + 1 roots, the rest conjugates), never one of term length
+    assert len(table4) > 256
     alphas = [-0.5 + j / 256 for j in range(256)]
     sizes = []
     exp = np.exp
@@ -587,23 +660,27 @@ def test_non_finite_alpha_sums_to_nan(table2, block2, w2):
 
 def test_sum_samples_reuse_bits_equal_single_calls(table2, block2, w2, w3, monkeypatch):
     # one terms array serves every alpha of a sum_samples call: a list of
-    # alphas, mixing both paths, gives the bits of one _exp_sums call per alpha.
-    # The 63 k=2 primes are a short sum, whose alphas share one 2-D block of
-    # terms, dyadic ones (-3/16, 0, 1/2) among the rest; they also match the
-    # whole-array reference, which exponentiates every term.
+    # alphas, mixing the three routes, gives the bits of one _exp_sums call
+    # per alpha, and those of the reference of each alpha's route. For the
+    # 63 k=2 primes, -3/16, 0, 1/2 and the Fraction 1/3 go by class, the
+    # Fractions 5/96 and 1/100 003 by the gather, and the floats 0.3, 1/3 and
+    # -5/12 per term, in one 2-D block of terms; the 97 578-term smooth sum
+    # takes 5/96 by class too.
     from tanprimes import pool
     from tanprimes.asymptotics import grid_weights
 
     monkeypatch.setattr(circle, "_TERM_CHUNK", 4096)
     m, wt = grid_weights(w3)
-    alphas = [0.3, -0.5 + 5 / 16, 1 / 3, 0.0, -0.5 + 1 / 12, 0.5]
+    alphas = [0.3, -0.5 + 5 / 16, 1 / 3, 0.0, -0.5 + 1 / 12, 0.5,
+              Fraction(1, 3), Fraction(5, 96), Fraction(1, 100003)]
     with pool.threads(2):
         got = [_hex(z) for z in sum_samples("smooth", alphas, w3)]
         primes = [_hex(z) for z in sum_samples("prime", alphas, w2, values=table2, logs=block2.logs)]
     assert got == [_hex(circle._exp_sums(wt, m, [a])[0]) for a in alphas]
+    assert got == [_hex(_expected(wt, m, a)) for a in alphas]
     assert len(table2) == 63
     assert primes == [_hex(circle._exp_sums(block2.logs, table2.f, [a])[0]) for a in alphas]
-    assert primes == [_hex(_exp_sum_reference(block2.logs, table2.f, a)) for a in alphas]
+    assert primes == [_hex(_expected(block2.logs, table2.f, a)) for a in alphas]
 
 
 def test_smooth_sums_keep_memory_to_the_terms(w3, monkeypatch):
@@ -644,7 +721,7 @@ def test_dyadic_sums_keep_memory_to_one_table(w3, monkeypatch):
 
     monkeypatch.setattr(circle, "_TERM_CHUNK", 2 ** 14)
     m, wt = grid_weights(w3)
-    assert len(m) > circle._CLASS_TERMS
+    assert len(m) > 1024
     alphas = [-0.5 + j / 1024 for j in range(1024)]
     with pool.threads(2):
         sum_samples("smooth", alphas[:1], w3)  # the imports of the pool and the sum, untraced
@@ -738,10 +815,11 @@ def test_cached_quadrature_bits_equal_cold(table2, block2, w2):
 
 def _circle_integrals_reference(values, logs, Ns, interval, M):
     # circle_integral in the same alpha chunks and trapezoid layout, at each
-    # target of Ns. A partial arc forms its phases as it did with np.mod; the
-    # full circle gathers every term and e(-j N / M) from the table of the M
-    # roots at exact integer phases, np.outer(j, f) % M and (-j N) % M, with
-    # no use of the conjugate symmetry.
+    # target of Ns. A partial arc forms its phases as it did with np.mod,
+    # except at a point alpha = num/d with d below the primes, whose prime sum
+    # is the class reference; the full circle gathers every term and
+    # e(-j N / M) from the table of the M roots at exact integer phases,
+    # np.outer(j, f) % M and (-j N) % M, with no use of the conjugate symmetry.
     a, b = interval
     full = (a, b) == (0.0, 1.0)
     roots = circle._roots(M)
@@ -756,6 +834,9 @@ def _circle_integrals_reference(values, logs, Ns, interval, M):
             S = np.sum(roots[np.outer(j, f) % M] * logs[None, :], axis=1)
         else:
             S = np.sum(np.exp(2j * np.pi * np.mod(alphas[:, None] * f[None, :], 1.0)) * logs[None, :], axis=1)
+            for r, alpha in enumerate(alphas.tolist()):
+                if alpha.as_integer_ratio()[1] < len(f):
+                    S[r] = _class_reference(logs, values.f, alpha)
         coeff = np.ones(len(alphas))
         if i == 0:
             coeff[0] = 0.5
@@ -787,8 +868,9 @@ def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_referenc
                                              chunk, width):
     # the crosscheck job's full circle and major arc at its 24 seed-1
     # targets, at every pool width and term chunk: the major arc's floor
-    # phases give the np.mod bits, and the full circle's table phases and
-    # conjugate half the bits of an exact-phase gather at every grid point.
+    # phases give the np.mod bits (its point alpha = 0 the class sum), and
+    # the full circle's table phases and conjugate half the bits of an
+    # exact-phase gather at every grid point.
     # At chunk 1 and 7 the 63-term prime sum takes one alpha per task, at
     # the default and 10^9 a block of alphas per task (at most every row).
     from tanprimes import pool
@@ -805,14 +887,12 @@ def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_referenc
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_expansion_residual_bits_equal_np_mod(monkeypatch, chunk):
     # the right-hand side comes from _exp_sums: every returned statistic has
-    # the bits of a 2-D np.mod reference, on a /16 grid of y and a
-    # non-dyadic one. The 2H+1 complex coefficients are taken in blocks of
-    # y; at chunk 7 each y is its own task. At H = 512 they are a long sum
-    # (1 025 terms), which still exponentiates every term at a dyadic y:
-    # the class route takes real coefficients only.
+    # the bits of a 2-D np.mod reference on a non-dyadic grid of y, and on a
+    # /16 grid, whose every y = num/d has d below the 2H+1 terms, those of
+    # the gather reference (complex coefficients take no class sums). The
+    # coefficients are taken in blocks of y; at chunk 7 each y is its own task.
     if chunk is not None:
         monkeypatch.setattr(circle, "_TERM_CHUNK", chunk)
-    assert 2 * 512 + 1 > circle._CLASS_TERMS
     for y in (np.arange(-40, 41) / 16, np.linspace(0.05, 0.95, 200)):
         for H in (16, 256, 512):
             x = 0.37
@@ -821,6 +901,9 @@ def test_expansion_residual_bits_equal_np_mod(monkeypatch, chunk):
             hs = np.arange(-H, H + 1)
             cs = np.array([fourier_coeff(x, int(h)) for h in hs])
             rhs = np.sum(np.exp(2j * np.pi * np.mod(y[:, None] * hs[None, :], 1.0)) * cs[None, :], axis=1)
+            for r, a in enumerate(y.tolist()):
+                if a.as_integer_ratio()[1] < len(hs):
+                    rhs[r] = _gather_reference(cs, hs, a)
             resid = np.abs(lhs - rhs)
             norm = np.minimum(fy, 1.0 - fy)
             ratio = resid / np.minimum(1.0, 1.0 / (H * np.maximum(norm, 1e-300)))

@@ -109,9 +109,11 @@ _THREAD_CASES = {
     **{f"values-k{k}": ["values", *sel] for k, sel in ((2, _K2), (3, _K3))},
     **{f"expsum-{kind}-k{k}": ["expsum", *sel, "--kind", kind, "--grid", "16"]
        for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
-    # grid 16 takes every alpha of a long sum by residue class, grid 12 most per term
+    # grid 16 takes every alpha by residue class mod 16, grid 12 mod 12; grid 256
+    # gathers the 63 k=2 primes at the dens 64 to 256, in several pool tasks
     **{f"expsum-{kind}-k{k}-grid12": ["expsum", *sel, "--kind", kind, "--grid", "12"]
        for kind in ("prime", "smooth", "integer") for k, sel in ((2, _K2), (3, _K3))},
+    "expsum-prime-k2-grid256": ["expsum", *_K2, "--kind", "prime", "--grid", "256"],
 }
 
 
