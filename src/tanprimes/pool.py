@@ -3,9 +3,11 @@
 The CLI sets it with `threads(n)` for the length of one run, n the CPUs
 the process may use, at most 2; everywhere else it is 1 and `map_chunks`
 is a plain serial map. The layers that use it (window.invert_map and
-weight, circle._exp_sums) hand it chunk functions that spend their time
-in numpy loops, which release the GIL, and that each write only their
-own slice of a preallocated output. The same chunk function runs at every
+weight, circle._exp_sums, and repcount.self_convolution, whose two
+half-length rffts, and then two irffts, are one map of two tasks) hand it
+chunk functions that spend their time in numpy loops or pocketfft
+transforms, which release the GIL, and that each write only their own
+slice of a preallocated output. The same chunk function runs at every
 width, so no output bit depends on it.
 
 The width lives in a context variable. Threads start in an empty context,

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import pool
 from .errors import BandTooWide, InvalidParameter, TooLarge
 from .primesieve import sieve_segment
 from .seqeval import ValueTable, certified_floor, log_weights
@@ -87,24 +88,25 @@ class PairMap:
 
 
 def check_pair_span(span: int) -> None:
-    """Refuse pair tables whose transforms exceed 2^26 points, before they are built.
+    """Refuse pair tables longer than 2^26 sums or self-convolutions, before they are built.
 
-    span is the length the table's transforms use, max(n_out, 2*width - 1)
-    (see _pair_map_from_arrays), which for a full table is the number of
-    pair sums, 2*(max f - min f) + 1; or an upper bound for it such as
-    pair_span_bound(w, N_hi) when no table exists yet.
+    span is max(n_out, 2*width - 1) (see _pair_tables): the longer of the
+    table and the self-convolution of its width-long multiplicity vector,
+    which for a full table is the number of pair sums, 2*(max f - min f) + 1;
+    or an upper bound for it such as pair_span_bound(w, N_hi) when no table
+    exists yet. The transforms that build the table are about half as long.
     """
     if span > _PAIR_SPAN_GUARD:
         raise TooLarge(f"pair-sum span {span} exceeds the dense-array guard")
 
 
 def pair_span_bound(w: WindowParams, N_hi: int) -> int:
-    """Upper bound on the transform length of the table a band ending at N_hi reads.
+    """Upper bound on the span check_pair_span judges for the table a band ending at N_hi reads.
 
     t is increasing on the window, so every f(p) lies in [floor(n1), n_star]:
     the full span is at most 2*(n_star - floor(n1)) + 1, and the band reads at
-    most n_out = N_hi - 3*floor(n1) + 1 sums from at most as many floors, so
-    its transforms are at most 2*n_out - 1 long.
+    most n_out = N_hi - 3*floor(n1) + 1 sums from at most as many floors,
+    whose self-convolution is at most 2*n_out - 1 long.
     """
     return min(2 * (w.n_star - math.floor(w.n1)) + 1, 2 * (N_hi - 3 * math.floor(w.n1) + 1) - 1)
 
@@ -115,29 +117,75 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
 
 
-def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed float64 buffer of the transform length for a width-long x, and its spectrum."""
-    nfft = _fft_length(max(n_out, 2 * width - 1))
-    return np.zeros(nfft), np.empty(nfft // 2 + 1, dtype=np.complex128)
+def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays self_convolution fills for a width-long x and n_out sums.
 
-
-def self_convolution(x: np.ndarray, n_out: int, spec: Optional[np.ndarray] = None) -> np.ndarray:
-    """First n_out entries of the linear convolution x * x, by one rfft and irfft.
-
-    Only x[:n_out] is read; the 5-smooth transform length holds its whole
-    self-convolution, so nothing wraps around. With spec, x and spec are a
-    workspace from _fft_workspace, x already holding the input: the
-    transforms write into them and the result is a view of x. Without it a
-    workspace is made for x.
+    With h = ceil(width / 2) and nfft = _fft_length(2h - 1), the transform
+    length of each half product: a float64 buffer of max(nfft, n_out) that
+    holds the input and then the lo*lo output, the result being a view of
+    it; the lo and hi half spectra, nfft // 2 + 1 complex each; and a
+    float64 cross-term buffer of twice that, which takes the lo*hi output,
+    or, when hi*hi reaches the output, the lo*hi spectrum and then the
+    hi*hi output. None is zeroed: self_convolution reads only its input,
+    which the caller writes, and what it wrote itself.
     """
-    if spec is None:
-        x = x[:n_out]
-        buf, spec = _fft_workspace(len(x), n_out)
-        buf[:len(x)] = x
-        x = buf
-    np.fft.rfft(x, out=spec)
-    spec *= spec
-    return np.fft.irfft(spec, len(x), out=x)[:n_out]
+    nfft = _fft_length(2 * (-(-width // 2)) - 1)
+    half = nfft // 2 + 1
+    return (np.empty(max(nfft, n_out)), np.empty(half, dtype=np.complex128),
+            np.empty(half, dtype=np.complex128), np.empty(2 * half))
+
+
+def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) -> np.ndarray:
+    """First n_out entries of the linear convolution x * x, from the halves of x[:n_out].
+
+    Only x[:n_out] is read. With L its length, h = ceil(L / 2), lo = x[:h]
+    and hi = x[h:L], x * x is lo*lo + 2 lo*hi shifted by h + hi*hi shifted
+    by 2h, and each product fits one transform of the 5-smooth length
+    nfft >= 2h - 1 without wrapping around. The two rffts run as one
+    pool.map_chunks of two tasks, and so do the irffts of lo*lo and lo*hi.
+    hi*hi reaches only the sums from 2h on, so it is transformed only when
+    n_out > 2h; then the three irffts run one after another, each writing
+    where the one before read. No sum gets both lo*lo and hi*hi, so every
+    entry is at most one rounded add of two products (the factor 2 is
+    exact), and entries past 2L - 2 are exactly 0.0. The same transforms
+    run at every pool width, so no bit depends on it.
+
+    With work, x is the first L entries of the buffer of a workspace from
+    _fft_workspace(L, n_out): the transforms write into the workspace and
+    the result is a view of its buffer. Without it a workspace is made for x.
+    """
+    x = x[:n_out]
+    L = len(x)
+    h = -(-L // 2)
+    nfft = _fft_length(2 * h - 1)
+    if work is None:
+        work = _fft_workspace(L, n_out)
+        work[0][:L] = x
+    buf, lo, hi, cross = work
+    pool.map_chunks(lambda job: np.fft.rfft(job[0], nfft, out=job[1]), [(buf[:h], lo), (buf[h:L], hi)])
+    if n_out > 2 * h:
+        spec = cross.view(np.complex128)
+        np.multiply(lo, hi, out=spec)
+        hi *= hi
+        lo *= lo
+        for s, o in ((lo, buf), (spec, lo.view(np.float64)), (hi, cross)):
+            np.fft.irfft(s, nfft, out=o[:nfft])
+        lohi, hihi = lo.view(np.float64), cross
+    else:
+        hi *= lo
+        lo *= lo
+        pool.map_chunks(lambda job: np.fft.irfft(job[0], nfft, out=job[1][:nfft]), [(lo, buf), (hi, cross)])
+        lohi, hihi = cross, None
+    out = buf[:n_out]
+    out[2 * h - 1:] = 0.0
+    if hihi is not None:
+        k = max(0, min(n_out, 2 * L - 1) - 2 * h)
+        out[2 * h:2 * h + k] = hihi[:k]
+    k = max(0, min(n_out, h + L - 1) - h)    # lo*hi has L - 1 entries
+    lohi = lohi[:k]
+    lohi *= 2.0
+    out[h:h + k] += lohi
+    return out
 
 
 def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
@@ -148,15 +196,16 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     on both sides of its n_out sums. Only the floors below min f + n_out
     can reach those sums, so the multiplicity vectors hold just the first
     width = min(max f - min f + 1, n_out) of them, the entries
-    self_convolution reads. The span guard judges the length the transforms
-    use, max(n_out, 2*width - 1); for a full table that is the full span.
+    self_convolution reads. The span guard judges max(n_out, 2*width - 1);
+    for a full table that is the full span. The transforms are about half
+    as long, and on the pool two run at a time.
 
-    Both transforms run in one workspace, a float64 buffer of that length
-    and its spectrum: each multiplicity vector is written straight into the
-    buffer, the counts are rounded there and copied out as int32, and the
-    weights are copied out once the spectrum is freed. The peak is the
-    workspace and the int32 counts, about 4.6 times 8 bytes a sum for a
-    band-limited table.
+    Both self-convolutions run in one workspace (_fft_workspace): each
+    multiplicity vector is written straight into its buffer, the counts
+    are rounded there and copied out as int32, and the weights are copied
+    out once the spectra and the cross-term buffer are freed. The peak is
+    the workspace and the int32 counts, about 4.5 times 8 bytes a sum for
+    a band-limited table.
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -169,9 +218,11 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     rel, logs = rel[keep], logs[keep]
     # rint is exact: t' > 1 on every window (and (p^c)' > 1 in the classical
     # variant), so f is strictly increasing, the multiplicity vector is 0/1 and
-    # |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1. Percival's
-    # bound (Math. Comp. 72, 2003) on the error of the FFT square is then about
-    # 1.2e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
+    # its norm2 = |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1.
+    # Percival's bound (Math. Comp. 72, 2003) on the error of an FFT product
+    # lo*hi is |lo| |hi| e, e its factor at the half transform length 2^25, so
+    # the three products err by at most e (|lo| + |hi|)^2 <= 2 norm2 e, about
+    # 2.4e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
     # The increase is checked here, so each index below is written once.
     # Neither table is a view of the workspace, which goes with this frame.
     bad = np.flatnonzero(np.diff(rel) <= 0)
@@ -181,15 +232,17 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
             f"pair tables need strictly increasing floors: {fmin + int(rel[i + 1])} "
             f"follows {fmin + int(rel[i])}"
         )
-    buf, spec = _fft_workspace(width, n_out)
-    buf[rel] = 1.0
-    sums = self_convolution(buf, n_out, spec=spec)
+    work = _fft_workspace(width, n_out)
+    x = work[0][:width]
+    x[:] = 0.0
+    x[rel] = 1.0
+    sums = self_convolution(x, n_out, work=work)
     counts = np.zeros(n_out + 2 * margin, dtype=np.int32)
     counts[margin:margin + n_out] = np.rint(sums, out=sums)
-    buf.fill(0.0)
-    buf[rel] = logs
-    sums = self_convolution(buf, n_out, spec=spec)
-    del spec
+    x[:] = 0.0
+    x[rel] = logs
+    sums = self_convolution(x, n_out, work=work)
+    del work
     sums[counts[margin:margin + n_out] == 0] = 0.0
     return 2 * fmin, counts, np.pad(sums, margin)
 

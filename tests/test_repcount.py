@@ -27,7 +27,7 @@ from tanprimes.errors import (
     TooLarge,
     WindowMismatch,
 )
-from tanprimes import repcount
+from tanprimes import pool, repcount
 from tanprimes.repcount import (
     _classical_floor,
     build_pair_map,
@@ -47,14 +47,20 @@ def test_pair_map_bounds(pairmap2, table2):
 
 
 def test_self_convolution_matches_convolve():
+    # x * x from the halves lo = x[:h], hi = x[h:] of x[:n_out], h = ceil(len / 2),
+    # at W = 1, 2, odd and even: n_out runs through (0, h], (h, 2h] (no hi*hi),
+    # (2h, 2W - 1] (empty at W = 1) and past the whole convolution, where
+    # every entry is exactly 0.0; below W only x[:n_out] is read
     rng = np.random.default_rng(5)
-    x = rng.random(37)
-    full = np.convolve(x, x)
-    for n_out in (1, 20, 37, 73, 90):
-        got = self_convolution(x, n_out)
-        want = np.concatenate([full, np.zeros(max(0, n_out - len(full)))])[:n_out]
-        assert len(got) == n_out
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * full.max())
+    for W in (1, 2, 36, 37):
+        x = rng.random(W)
+        full = np.convolve(x, x)
+        for n_out in range(1, 2 * W + 3):
+            got = self_convolution(x, n_out)
+            want = np.concatenate([full, np.zeros(max(0, n_out - len(full)))])[:n_out]
+            assert len(got) == n_out
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * full.max())
+            assert np.all(got[len(full):] == 0.0)
 
 
 def test_pair_map_matches_bincount(table3, block3, pairmap3):
@@ -72,19 +78,25 @@ def test_pair_map_matches_bincount(table3, block3, pairmap3):
 
 def test_percival_bound_at_span_guard():
     # _pair_map_from_arrays rounds FFT counts with rint on the strength of
-    # this bound and quotes these figures. The guard judges the transform
-    # length max(n_out, 2*width - 1), so a table's multiplicity vector has
-    # at most (guard + 1) // 2 ones, and a band-limited table (the k=5 band
-    # transforms 3.75e7 points of a 1.18e8-sum span) stays within the same
-    # figures; raising the guard must revisit both.
+    # this bound and quotes these figures. The guard judges
+    # max(n_out, 2*width - 1), so a table's multiplicity vector x has at most
+    # (guard + 1) // 2 ones, and a band-limited table (the k=5 band reads
+    # 1.88e7 sums of a 1.18e8-sum span) stays within the same figures;
+    # raising the guard must revisit both. self_convolution squares x from
+    # its halves lo and hi, h = ceil(len / 2) long, each product in one
+    # transform of length _fft_length(2h - 1); Percival bounds the error of
+    # a product a*b by |a| |b| times the factor below, so the three products
+    # err by at most factor (|lo| + |hi|)^2 <= 2 norm2 factor.
     guard = repcount._PAIR_SPAN_GUARD
     norm2 = (guard + 1) // 2  # 0/1 multiplicities over at most this many f values
-    L = math.ceil(math.log2(repcount._fft_length(guard)))
-    assert (norm2, L) == (2 ** 25, 26)
+    h = -(-norm2 // 2)
+    L = math.ceil(math.log2(repcount._fft_length(2 * h - 1)))
+    assert (norm2, L) == (2 ** 25, 25)
     e = 2.0 ** -53  # unit roundoff; the twiddle error is taken as e too
     # (1+e)^3L (1+e sqrt5)^(3L+1) (1+e)^3L - 1, in logs since 1 + e rounds to 1
-    bound = norm2 * math.expm1(6 * L * math.log1p(e) + (3 * L + 1) * math.log1p(e * math.sqrt(5)))
-    assert bound == pytest.approx(1.24e-6, rel=0.01)
+    factor = math.expm1(6 * L * math.log1p(e) + (3 * L + 1) * math.log1p(e * math.sqrt(5)))
+    bound = 2 * norm2 * factor
+    assert bound == pytest.approx(2.38e-6, rel=0.01)
     assert bound < 0.25
 
 
@@ -484,9 +496,10 @@ def test_band_table_bits_equal_untruncated_k4(band_table4):
 
 def test_band_table_keeps_memory_to_the_band_k4(band_table4):
     # the multiplicity vectors hold only the floors the band reads, and both
-    # transforms share one workspace: under 5 times 8 bytes a sum (4.59
-    # measured; 6.1 with a buffer per transform, 8.2 with bincounts over all
-    # 2.4e6 floors)
+    # self-convolutions share one workspace: under 5 times 8 bytes a sum
+    # (4.56 measured, with half-length transforms; 4.59 with one transform
+    # of the whole length, 6.1 with a buffer per transform, 8.2 with
+    # bincounts over all 2.4e6 floors)
     import tracemalloc
 
     f, logs, pm = band_table4
@@ -497,6 +510,20 @@ def test_band_table_keeps_memory_to_the_band_k4(band_table4):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 8 * len(pm.counts)
+
+
+def test_pair_table_bits_equal_at_pool_widths(table3, block3, w3, band_table4):
+    # the pair-table transforms run two at a time at width 2: the full k=3
+    # table (hi*hi transformed too), a band-limited k=3 one and the CLI's k=4 one
+    band3 = w3.n_star + 100 - 3 * int(table3.f.min()) + 1
+    f4, logs4, pm4 = band_table4
+    for f, logs, n_out in ((table3.f, block3.logs, None), (table3.f, block3.logs, band3),
+                           (f4, logs4, len(pm4.counts))):
+        maps = []
+        for width in (1, 2):
+            with pool.threads(width):
+                maps.append(repcount._pair_map_from_arrays(f, logs, n_out))
+        _same_bits(*maps)
 
 
 def test_band_table_spot_check_k4(band_table4):
