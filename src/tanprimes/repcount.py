@@ -36,6 +36,8 @@ from .window import WindowParams
 _NAIVE_GUARD = 10 ** 4
 _CLASSICAL_GUARD = 10 ** 5
 _PAIR_SPAN_GUARD = 1 << 26   # dense pair arrays beyond this would eat memory
+_BLOCKS_FROM = 1 << 18      # self_convolution squares an x this long or longer from _BLOCKS blocks
+_BLOCKS = 32
 _BAND_GUARD = 10 ** 6
 _MEET_CHUNK = 1 << 16      # products the band meet gathers at once (at least one row)
 _MEET_TARGETS = 1 << 12    # targets of one block of the band meet
@@ -94,7 +96,8 @@ def check_pair_span(span: int) -> None:
     table and the self-convolution of its width-long multiplicity vector,
     which for a full table is the number of pair sums, 2*(max f - min f) + 1;
     or an upper bound for it such as pair_span_bound(w, N_hi) when no table
-    exists yet. The transforms that build the table are about half as long.
+    exists yet. The transforms that build the table are about 2*width/P
+    long, P the block count of _blocks.
     """
     if span > _PAIR_SPAN_GUARD:
         raise TooLarge(f"pair-sum span {span} exceeds the dense-array guard")
@@ -117,74 +120,110 @@ def _fft_length(n: int) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
 
 
-def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays self_convolution fills for a width-long x and n_out sums.
+def _blocks(L: int) -> tuple[int, int]:
+    """Block length a and transform length nfft for squaring an L-long x.
 
-    With h = ceil(width / 2) and nfft = _fft_length(2h - 1), the transform
-    length of each half product: a float64 buffer of max(nfft, n_out) that
-    holds the input and then the lo*lo output, the result being a view of
-    it; the lo and hi half spectra, nfft // 2 + 1 complex each; and a
-    float64 cross-term buffer of twice that, which takes the lo*hi output,
-    or, when hi*hi reaches the output, the lo*hi spectrum and then the
-    hi*hi output. None is zeroed: self_convolution reads only its input,
+    x is cut into P blocks of a = ceil(L / P): P = 2 below _BLOCKS_FROM,
+    under which every k <= 3 table and singular-integral grid falls at
+    (c, theta) = (1.02, 1.5) and (1.05, 2.0) (the longest is 208 649), and
+    _BLOCKS from there on (transforms of 48 000 for the k = 4 band table,
+    whose two blocks took 768 000). Each block product fits one transform of the
+    5-smooth length nfft >= 2a - 1 without wrapping around.
+    """
+    a = -(-L // (2 if L < _BLOCKS_FROM else _BLOCKS))
+    return a, _fft_length(2 * a - 1)
+
+
+def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The arrays self_convolution fills for a width-long x and n_out >= width sums.
+
+    With a and nfft from _blocks(width): a float64 buffer of n_out that
+    holds the input and then the output, which is the result;
+    the spectra of the ceil(width / a) blocks, nfft // 2 + 1 complex each,
+    as the rows of one array; and for each thread of the pool, at most as
+    many as the shifts of one parity, a pair of complex buffers of that
+    length, which take a shift's sum of products and its inverse
+    transform. None is zeroed: self_convolution reads only its input,
     which the caller writes, and what it wrote itself.
     """
-    nfft = _fft_length(2 * (-(-width // 2)) - 1)
+    a, nfft = _blocks(width)
     half = nfft // 2 + 1
-    return (np.empty(max(nfft, n_out)), np.empty(half, dtype=np.complex128),
-            np.empty(half, dtype=np.complex128), np.empty(2 * half))
+    blocks = -(-width // a)
+    shifts = min(2 * blocks - 1, -(-n_out // a))
+    threads = min(pool.WIDTH.get(), -(-shifts // 2))
+    return (np.empty(n_out), np.empty((blocks, half), dtype=np.complex128),
+            [np.empty((2, half), dtype=np.complex128) for _ in range(threads)])
 
 
 def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) -> np.ndarray:
-    """First n_out entries of the linear convolution x * x, from the halves of x[:n_out].
+    """First n_out entries of the linear convolution x * x, from blocks of x[:n_out].
 
-    Only x[:n_out] is read. With L its length, h = ceil(L / 2), lo = x[:h]
-    and hi = x[h:L], x * x is lo*lo + 2 lo*hi shifted by h + hi*hi shifted
-    by 2h, and each product fits one transform of the 5-smooth length
-    nfft >= 2h - 1 without wrapping around. The two rffts run as one
-    pool.map_chunks of two tasks, and so do the irffts of lo*lo and lo*hi.
-    hi*hi reaches only the sums from 2h on, so it is transformed only when
-    n_out > 2h; then the three irffts run one after another, each writing
-    where the one before read. No sum gets both lo*lo and hi*hi, so every
-    entry is at most one rounded add of two products (the factor 2 is
-    exact), and entries past 2L - 2 are exactly 0.0. The same transforms
-    run at every pool width, so no bit depends on it.
+    Only x[:n_out] is read. With L its length and a, nfft from _blocks(L),
+    each block q_i = x[i a:(i + 1) a] is transformed once, on the pool.
+    Shift s of x * x, at offset s a, is the sum of q_i * q_j over
+    i + j = s: its spectrum is the sum of the cross products Q_i Q_j,
+    i < j, doubled, plus Q_(s/2)^2 when s is even, and one inverse
+    transform gives it. A cross product is taken lower block first when
+    the output runs past 2a and higher first otherwise: complex products
+    round differently in the two orders, and these are the orders of the
+    two-block squares whose bits the tests pin. A shift reaches at most
+    2a - 1 entries, so the even shifts tile the output and are written
+    first, each with zeros up to the next, and the odd ones are added on
+    top: every entry is at most one rounded add of two inverse outputs,
+    and entries past a shift's reach (so all past 2L - 2) are exactly 0.0.
+    With two blocks, below _BLOCKS_FROM, the odd shift has one product,
+    and its factor 2 is applied after the inverse; with more, an even
+    shift doubles its cross products before the inverse, as exactly. The
+    even and the odd shifts are one pool.map_chunks each, a task a
+    thread, each thread on its own buffers; the same products and
+    transforms run at every pool width, so no bit depends on it.
 
     With work, x is the first L entries of the buffer of a workspace from
     _fft_workspace(L, n_out): the transforms write into the workspace and
-    the result is a view of its buffer. Without it a workspace is made for x.
+    the result is its buffer. Without it a workspace is made for x.
     """
     x = x[:n_out]
     L = len(x)
-    h = -(-L // 2)
-    nfft = _fft_length(2 * h - 1)
+    a, nfft = _blocks(L)
     if work is None:
         work = _fft_workspace(L, n_out)
         work[0][:L] = x
-    buf, lo, hi, cross = work
-    pool.map_chunks(lambda job: np.fft.rfft(job[0], nfft, out=job[1]), [(buf[:h], lo), (buf[h:L], hi)])
-    if n_out > 2 * h:
-        spec = cross.view(np.complex128)
-        np.multiply(lo, hi, out=spec)
-        hi *= hi
-        lo *= lo
-        for s, o in ((lo, buf), (spec, lo.view(np.float64)), (hi, cross)):
-            np.fft.irfft(s, nfft, out=o[:nfft])
-        lohi, hihi = lo.view(np.float64), cross
-    else:
-        hi *= lo
-        lo *= lo
-        pool.map_chunks(lambda job: np.fft.irfft(job[0], nfft, out=job[1][:nfft]), [(lo, buf), (hi, cross)])
-        lohi, hihi = cross, None
-    out = buf[:n_out]
-    out[2 * h - 1:] = 0.0
-    if hihi is not None:
-        k = max(0, min(n_out, 2 * L - 1) - 2 * h)
-        out[2 * h:2 * h + k] = hihi[:k]
-    k = max(0, min(n_out, h + L - 1) - h)    # lo*hi has L - 1 entries
-    lohi = lohi[:k]
-    lohi *= 2.0
-    out[h:h + k] += lohi
+    out, spec, bufs = work
+    P = len(spec)
+    size = [min(a, L - i * a) for i in range(P)]
+    pool.map_chunks(lambda i: np.fft.rfft(out[i * a:i * a + size[i]], nfft, out=spec[i]), range(P))
+    shifts = range(min(2 * P - 1, -(-n_out // a)))
+    lo_first = n_out > 2 * a
+
+    def run(job):
+        todo, (acc, tmp) = job
+        for s in todo:
+            pairs = [(s - j, j) if lo_first else (j, s - j)
+                     for j in range(min(s, P - 1), s // 2, -1)]
+            if s % 2 == 0:
+                pairs.append((s // 2, s // 2))
+            for n, (u, v) in enumerate(pairs):
+                if n and u == v:
+                    acc += acc    # the cross products count twice
+                np.multiply(spec[u], spec[v], out=tmp if n else acc)
+                if n:
+                    acc += tmp
+            r = np.fft.irfft(acc, nfft, out=tmp.view(np.float64)[:nfft])
+            o = s * a
+            # the shift's most even pair reaches furthest
+            k = min(n_out, o + size[s // 2] + size[-(-s // 2)] - 1) - o
+            if s % 2 == 0:
+                out[o:o + k] = r[:k]
+                out[o + k:min(n_out, o + 2 * a)] = 0.0
+            else:
+                r = r[:k]
+                r *= 2.0
+                out[o:o + k] += r
+
+    for parity in (0, 1):
+        todo = shifts[parity::2]
+        pool.map_chunks(run, [(todo[t::len(bufs)], buf) for t, buf in enumerate(bufs[:len(todo)])])
+    out[2 * a * -(-len(shifts) // 2):] = 0.0
     return out
 
 
@@ -197,15 +236,15 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     can reach those sums, so the multiplicity vectors hold just the first
     width = min(max f - min f + 1, n_out) of them, the entries
     self_convolution reads. The span guard judges max(n_out, 2*width - 1);
-    for a full table that is the full span. The transforms are about half
-    as long, and on the pool two run at a time.
+    for a full table that is the full span. The transforms are those of
+    the P blocks of _blocks, about 2*width/P long, and they run on the pool.
 
     Both self-convolutions run in one workspace (_fft_workspace): each
     multiplicity vector is written straight into its buffer, the counts
     are rounded there and copied out as int32, and the weights are copied
-    out once the spectra and the cross-term buffer are freed. The peak is
-    the workspace and the int32 counts, about 4.5 times 8 bytes a sum for
-    a band-limited table.
+    out once the spectra and the per-thread buffers are freed. The peak is
+    the workspace and the int32 counts, about 3.7 times 8 bytes a sum for
+    the k = 4 band-limited table, two of them the block spectra.
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -220,9 +259,10 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     # variant), so f is strictly increasing, the multiplicity vector is 0/1 and
     # its norm2 = |x|^2 <= width <= 2^25 under the 2^26 guard on 2*width - 1.
     # Percival's bound (Math. Comp. 72, 2003) on the error of an FFT product
-    # lo*hi is |lo| |hi| e, e its factor at the half transform length 2^25, so
-    # the three products err by at most e (|lo| + |hi|)^2 <= 2 norm2 e, about
-    # 2.4e-6, well below 1/4; test_percival_bound_at_span_guard evaluates it.
+    # q_i*q_j is |q_i| |q_j| e, e its factor at the block transform length
+    # (2^21 for the P = 32 blocks of 2^20 at the guard), so all the block
+    # products err by at most e (sum |q_i|)^2 <= P norm2 e, about 3.2e-5,
+    # well below 1/4; test_percival_bound_at_span_guard evaluates it.
     # The increase is checked here, so each index below is written once.
     # Neither table is a view of the workspace, which goes with this frame.
     bad = np.flatnonzero(np.diff(rel) <= 0)

@@ -342,11 +342,9 @@ def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
     # a chunk at a time, and the int64 grid is passed as is: on a pool of 2
     # the grid, its weights, the window's start table (solved cold here, so
     # its node solve counts) and a chunk of temporaries per thread stay
-    # under 3.5 times the grid's bytes (2.5-2.6 measured in a fresh process,
-    # under pytest or not); a float64 copy of the grid and full-length
-    # range-check temporaries took 4.6. The pool is warmed first: its lazy
-    # import of concurrent.futures put about 0.5 times the grid's bytes of
-    # module objects in the traced window outside pytest.
+    # under 3.5 times the grid's bytes (2.4 measured in a fresh process,
+    # with or without a map on the pool before it); a float64 copy of the
+    # grid and full-length range-check temporaries took 4.6.
     import tracemalloc
 
     from tanprimes import pool
@@ -355,7 +353,6 @@ def test_grid_weights_keep_memory_to_the_grid(w3, monkeypatch):
     monkeypatch.setattr(window_mod, "_NEWTON_CHUNK", 2 ** 10)
     window_mod._start_table.cache_clear()
     with pool.threads(2):
-        pool.map_chunks(abs, [0, 0])  # concurrent.futures, untraced
         tracemalloc.start()
         try:
             m, wt = grid_weights.__wrapped__(w3)  # uncached

@@ -237,6 +237,53 @@ def test_no_pool_thread_outlives_main(capsys, monkeypatch):
     assert not alive()
 
 
+def test_pool_hands_out_each_item_once_under_contention():
+    # eight pool threads on two CPUs, switching every microsecond: every item
+    # runs exactly once and its result lands at its index; after failures
+    # the first failing item's exception is raised and no thread is left
+    import threading
+
+    from tanprimes import pool
+
+    runs = [0] * 3000
+    names = set()
+
+    def square(i):
+        runs[i] += 1  # one item, one thread: a lost update would show
+        names.add(threading.current_thread().name)
+        return i * i
+
+    def fail_from_700(i):
+        if i >= 700:
+            raise ValueError(i)
+        return i
+
+    outcome = {}
+
+    def main():
+        with pool.threads(8):
+            outcome["squares"] = pool.map_chunks(square, range(len(runs)))
+            try:
+                pool.map_chunks(fail_from_700, range(len(runs)))
+            except ValueError as exc:
+                outcome["raised"] = exc.args[0]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=main)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not caller.is_alive()
+    assert outcome["squares"] == [i * i for i in range(len(runs))]
+    assert runs == [1] * len(runs)
+    assert len(names) > 1 and names <= {f"tanprimes_{t}" for t in range(8)}
+    assert outcome["raised"] == 700
+    assert not [t for t in threading.enumerate() if t.name.startswith("tanprimes")]
+
+
 def test_pool_loads_nothing_until_used():
     # importing the CLI, or a --threads 2 run that maps no chunks, leaves
     # concurrent.futures unloaded

@@ -1,6 +1,7 @@
 """Ternary counts: meet-in-the-middle vs the naive oracle, scans, binary
 search, and the classical Piatetski-Shapiro style cross-check."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,10 +48,11 @@ def test_pair_map_bounds(pairmap2, table2):
 
 
 def test_self_convolution_matches_convolve():
-    # x * x from the halves lo = x[:h], hi = x[h:] of x[:n_out], h = ceil(len / 2),
-    # at W = 1, 2, odd and even: n_out runs through (0, h], (h, 2h] (no hi*hi),
-    # (2h, 2W - 1] (empty at W = 1) and past the whole convolution, where
-    # every entry is exactly 0.0; below W only x[:n_out] is read
+    # two blocks below _BLOCKS_FROM: lo = x[:h], hi = x[h:] of x[:n_out],
+    # h = ceil(len / 2), at W = 1, 2, odd and even: n_out runs through
+    # (0, h], (h, 2h] (no hi*hi), (2h, 2W - 1] (empty at W = 1) and past the
+    # whole convolution, where every entry is exactly 0.0; below W only
+    # x[:n_out] is read
     rng = np.random.default_rng(5)
     for W in (1, 2, 36, 37):
         x = rng.random(W)
@@ -61,6 +63,31 @@ def test_self_convolution_matches_convolve():
             assert len(got) == n_out
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * full.max())
             assert np.all(got[len(full):] == 0.0)
+
+
+@pytest.mark.parametrize("W", [2 ** 18 - 1, 2 ** 18, 2 ** 18 + 37])
+def test_self_convolution_of_sparse_vectors_on_both_sides_of_the_blocks(W):
+    # a sparse 0/1 x has an exact square, the bincount of its pairwise index
+    # sums: W = 2^18 - 1 takes two blocks, the others _BLOCKS (the last one
+    # short at 2^18 + 37). n_out ends inside a block, on block and shift
+    # edges, at the table's end 2W - 1 and past it, where every entry is
+    # exactly 0.0; both pool widths give the same bits
+    rng = np.random.default_rng(W)
+    idx = np.sort(rng.choice(W, 400, replace=False))
+    idx[[0, -1]] = 0, W - 1
+    x = np.zeros(W)
+    x[idx] = 1.0
+    exact = np.bincount(np.add.outer(idx, idx).ravel(), minlength=2 * W - 1)
+    a = repcount._blocks(W)[0]
+    assert a == (-(-W // 2) if W < repcount._BLOCKS_FROM else -(-W // repcount._BLOCKS))
+    for n_out in (1, a - 1, a, a + 1, 2 * a, 3 * a + 5, W, 2 * W - 2 - a, 2 * W - 1, 2 * W + 3):
+        got = self_convolution(x, n_out)
+        with pool.threads(2):
+            assert self_convolution(x, n_out).tobytes() == got.tobytes()
+        want = exact[:n_out]
+        assert len(got) == n_out
+        assert np.max(np.abs(got[:len(want)] - want)) < 1e-9
+        assert np.all(got[len(want):] == 0.0)
 
 
 def test_pair_map_matches_bincount(table3, block3, pairmap3):
@@ -83,20 +110,21 @@ def test_percival_bound_at_span_guard():
     # (guard + 1) // 2 ones, and a band-limited table (the k=5 band reads
     # 1.88e7 sums of a 1.18e8-sum span) stays within the same figures;
     # raising the guard must revisit both. self_convolution squares x from
-    # its halves lo and hi, h = ceil(len / 2) long, each product in one
-    # transform of length _fft_length(2h - 1); Percival bounds the error of
-    # a product a*b by |a| |b| times the factor below, so the three products
-    # err by at most factor (|lo| + |hi|)^2 <= 2 norm2 factor.
+    # P blocks q_i of length a (_blocks), each product in one transform of
+    # length nfft; Percival bounds the error of a product q_i*q_j by
+    # |q_i| |q_j| times the factor below, so all of them together err by at
+    # most factor (sum |q_i|)^2 <= P norm2 factor (Cauchy-Schwarz).
     guard = repcount._PAIR_SPAN_GUARD
     norm2 = (guard + 1) // 2  # 0/1 multiplicities over at most this many f values
-    h = -(-norm2 // 2)
-    L = math.ceil(math.log2(repcount._fft_length(2 * h - 1)))
-    assert (norm2, L) == (2 ** 25, 25)
+    a, nfft = repcount._blocks(norm2)
+    P = -(-norm2 // a)
+    L = math.ceil(math.log2(nfft))
+    assert (norm2, P, L) == (2 ** 25, repcount._BLOCKS, 21)
     e = 2.0 ** -53  # unit roundoff; the twiddle error is taken as e too
     # (1+e)^3L (1+e sqrt5)^(3L+1) (1+e)^3L - 1, in logs since 1 + e rounds to 1
     factor = math.expm1(6 * L * math.log1p(e) + (3 * L + 1) * math.log1p(e * math.sqrt(5)))
-    bound = 2 * norm2 * factor
-    assert bound == pytest.approx(2.38e-6, rel=0.01)
+    bound = P * norm2 * factor
+    assert bound == pytest.approx(3.21e-5, rel=0.01)
     assert bound < 0.25
 
 
@@ -496,10 +524,10 @@ def test_band_table_bits_equal_untruncated_k4(band_table4):
 
 def test_band_table_keeps_memory_to_the_band_k4(band_table4):
     # the multiplicity vectors hold only the floors the band reads, and both
-    # self-convolutions share one workspace: under 5 times 8 bytes a sum
-    # (4.56 measured, with half-length transforms; 4.59 with one transform
-    # of the whole length, 6.1 with a buffer per transform, 8.2 with
-    # bincounts over all 2.4e6 floors)
+    # self-convolutions share one workspace: under 4 times 8 bytes a sum
+    # (3.67 measured, with _BLOCKS block transforms; 4.56 with half-length
+    # transforms, 4.59 with one transform of the whole length, 6.1 with a
+    # buffer per transform, 8.2 with bincounts over all 2.4e6 floors)
     import tracemalloc
 
     f, logs, pm = band_table4
@@ -509,21 +537,44 @@ def test_band_table_keeps_memory_to_the_band_k4(band_table4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * len(pm.counts)
+    assert peak < 4 * 8 * len(pm.counts)
 
 
 def test_pair_table_bits_equal_at_pool_widths(table3, block3, w3, band_table4):
-    # the pair-table transforms run two at a time at width 2: the full k=3
-    # table (hi*hi transformed too), a band-limited k=3 one and the CLI's k=4 one
+    # the pair-table transforms and shifts run on the pool at width 2: the
+    # full k=3 table (two blocks, hi*hi transformed too), a band-limited k=3
+    # one, the CLI's k=4 one (_BLOCKS blocks, shifts up to _BLOCKS - 1) and
+    # a full table of the first 3e5 k=4 floors (every shift up to
+    # 2 _BLOCKS - 2)
     band3 = w3.n_star + 100 - 3 * int(table3.f.min()) + 1
     f4, logs4, pm4 = band_table4
+    first = f4 < f4[0] + 300_000
+    assert first.sum() > 1000 and 300_000 >= repcount._BLOCKS_FROM
     for f, logs, n_out in ((table3.f, block3.logs, None), (table3.f, block3.logs, band3),
-                           (f4, logs4, len(pm4.counts))):
+                           (f4, logs4, len(pm4.counts)),
+                           (f4[first], logs4[first], None)):
         maps = []
         for width in (1, 2):
             with pool.threads(width):
                 maps.append(repcount._pair_map_from_arrays(f, logs, n_out))
         _same_bits(*maps)
+
+
+def test_two_block_tables_keep_their_bits(table3, block3, w3):
+    # every k <= 3 table squares two blocks, by the products and the order
+    # of adds these digests were recorded with (sha256 of counts, weights)
+    band3 = w3.n_star + 100 - 3 * int(table3.f.min()) + 1
+    want = {
+        None: ("186dd3b18f6785ad55be182a234b560d786741ae0c216736d29b2b9e7c3b3337",
+               "238b763d50fd99e2b220087b1ebb240fe748e7acb51c8881dd421ffe862d1e41"),
+        band3: ("6106c8693edf1cb76da2b71d6054f36d1ad4d8e616f691a320f24815bae12f6f",
+                "405af2413477f6e7fad4fdf27026e2b96564f9a46d8b323f8eb8321788362ac2"),
+    }
+    assert int(table3.f[-1] - table3.f[0]) < repcount._BLOCKS_FROM  # the floors squared
+    for n_out, digests in want.items():
+        pm = repcount._pair_map_from_arrays(table3.f, block3.logs, n_out)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (pm.counts, pm.weights))
+        assert got == digests
 
 
 def test_band_table_spot_check_k4(band_table4):
