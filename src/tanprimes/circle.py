@@ -79,6 +79,20 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return np.subtract(x, fl, out=fl)
 
 
+def _near_mod(x: np.ndarray, den: int, scratch: np.ndarray) -> np.ndarray:
+    # x less den times its float quotient, in place, for 0 <= x < 2^52 and
+    # den >= 1, through scratch, an int64 array of x's shape; returns x.
+    # x is exact as a float, and fl(x * fl(1/den)) is within x/den * 2^-52
+    # < 1/den of x/den, so its truncation (x >= 0) is floor(x/den) or one
+    # off either way: x keeps its class mod den and lands in [-den, 2den),
+    # and np.take(mode="wrap") adds or takes den at most once. Cheaper than
+    # np.remainder, which divides in integers.
+    np.multiply(x, 1.0 / den, out=scratch, casting="unsafe")
+    scratch *= den
+    x -= scratch
+    return x
+
+
 @functools.lru_cache(maxsize=1)
 def _roots(M: int) -> np.ndarray:
     # e(r/M) for r = 0..M-1, read-only: the lower half from np.exp, the
@@ -154,7 +168,7 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
     # (at most _PAIR_SPAN_GUARD), alphas are integer numerators j of j/den
     # instead, for integer frequencies: each term reads its phase from
     # _roots(den) at (j * (f mod den)) mod den, which is below 2^52 before
-    # the reduction, so the phase is exact.
+    # the reduction (_near_mod), so the phase is exact.
     #
     # Otherwise an alpha's exact ratio picks its route. With integer
     # frequencies, an alpha that _ratio gives as num/d has the exact phase
@@ -207,7 +221,9 @@ def _exp_sums(coeff: np.ndarray, freq: np.ndarray, alphas, den: int | None = Non
             np.exp(terms, out=terms)  # in place, as the product below
         else:
             phases = np.multiply.outer(alphas[rows], freq[s])
-            terms = table[np.remainder(phases, den, out=phases)]
+            terms = np.empty(phases.shape, dtype=complex)
+            _near_mod(phases, den, terms.view(np.int64)[:, :phases.shape[1]])
+            np.take(table, phases, mode="wrap", out=terms)
         terms *= coeff[s]  # in place: a fresh product array costs page faults
         return np.sum(terms, axis=1)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -134,24 +134,26 @@ def _blocks(L: int) -> tuple[int, int]:
     return a, _fft_length(2 * a - 1)
 
 
-def _fft_workspace(width: int, n_out: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The arrays self_convolution fills for a width-long x and n_out >= width sums.
+def _fft_workspace(width: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """The arrays self_convolution fills for a width-long x and len(out) >= width sums.
 
-    With a and nfft from _blocks(width): a float64 buffer of n_out that
-    holds the input and then the output, which is the result;
-    the spectra of the ceil(width / a) blocks, nfft // 2 + 1 complex each,
-    as the rows of one array; and for each thread of the pool, at most as
-    many as the shifts of one parity, a pair of complex buffers of that
-    length, which take a shift's sum of products and its inverse
-    transform. None is zeroed: self_convolution reads only its input,
-    which the caller writes, and what it wrote itself.
+    With a and nfft from _blocks(width): out, a float64 buffer of n_out =
+    len(out) that holds the input and then the output, which is the
+    result; the spectra of the ceil(width / a) blocks, nfft // 2 + 1
+    complex each, as the rows of one array; and for each thread of the
+    pool, at most as many as the shifts of one parity, a pair of complex
+    buffers of that length, which take a shift's sum of products and its
+    inverse transform. None is zeroed: self_convolution reads only its
+    input, which the caller writes, and what it wrote itself. So the
+    workspace is about 8 + 16 bytes a sum of out when width = n_out, as
+    on a band table, the spectra two thirds of it.
     """
     a, nfft = _blocks(width)
     half = nfft // 2 + 1
     blocks = -(-width // a)
-    shifts = min(2 * blocks - 1, -(-n_out // a))
+    shifts = min(2 * blocks - 1, -(-len(out) // a))
     threads = min(pool.WIDTH.get(), -(-shifts // 2))
-    return (np.empty(n_out), np.empty((blocks, half), dtype=np.complex128),
+    return (out, np.empty((blocks, half), dtype=np.complex128),
             [np.empty((2, half), dtype=np.complex128) for _ in range(threads)])
 
 
@@ -179,14 +181,15 @@ def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) ->
     transforms run at every pool width, so no bit depends on it.
 
     With work, x is the first L entries of the buffer of a workspace from
-    _fft_workspace(L, n_out): the transforms write into the workspace and
-    the result is its buffer. Without it a workspace is made for x.
+    _fft_workspace(L, out) with len(out) = n_out: the transforms write into
+    the workspace and the result is its buffer. Without it a workspace is
+    made for x.
     """
     x = x[:n_out]
     L = len(x)
     a, nfft = _blocks(L)
     if work is None:
-        work = _fft_workspace(L, n_out)
+        work = _fft_workspace(L, np.empty(n_out))
         work[0][:L] = x
     out, spec, bufs = work
     P = len(spec)
@@ -227,24 +230,30 @@ def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) ->
     return out
 
 
-def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
-                 margin: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int], margin: int,
+                 use_counts: Callable[[int, np.ndarray], Any]) -> tuple[int, Any, np.ndarray]:
     """Pair sums from 2 min f on: all of them, or only the first n_out.
 
-    Returns 2 min f and the count and weight arrays, each with margin zeros
-    on both sides of its n_out sums. Only the floors below min f + n_out
-    can reach those sums, so the multiplicity vectors hold just the first
-    width = min(max f - min f + 1, n_out) of them, the entries
-    self_convolution reads. The span guard judges max(n_out, 2*width - 1);
-    for a full table that is the full span. The transforms are those of
-    the P blocks of _blocks, about 2*width/P long, and they run on the pool.
+    Both tables are built in one float64 buffer with margin zeros on both
+    sides of its n_out sums. First the counts: use_counts(2 min f, buffer)
+    is called with them rounded in place, exact integers, and must copy
+    what it keeps of them, since the buffer then takes the weights. Of the
+    counts the build keeps only a packed nonzero mask, an eighth of a byte
+    a sum, and the weights of the sums no pair reaches are zeroed by it.
+    Returns 2 min f, what use_counts returned, and the weight buffer.
 
-    Both self-convolutions run in one workspace (_fft_workspace): each
-    multiplicity vector is written straight into its buffer, the counts
-    are rounded there and copied out as int32, and the weights are copied
-    out once the spectra and the per-thread buffers are freed. The peak is
-    the workspace and the int32 counts, about 3.7 times 8 bytes a sum for
-    the k = 4 band-limited table, two of them the block spectra.
+    Only the floors below min f + n_out can reach those sums, so the
+    multiplicity vectors hold just the first width = min(max f - min f + 1,
+    n_out) of them, the entries self_convolution reads. The span guard
+    judges max(n_out, 2*width - 1); for a full table that is the full span.
+    The transforms are those of the P blocks of _blocks, about 2*width/P
+    long, and they run on the pool.
+
+    Both self-convolutions run in one workspace (_fft_workspace) on the
+    buffer. So the peak is the workspace, the mask and what use_counts
+    holds: about 3.4 times 8 bytes a sum for the k = 4 band table that
+    _meet builds and meets in place, two of them the block spectra, and
+    3.7 for build_pair_map's, which copies the counts out as int32.
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -264,7 +273,6 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
     # products err by at most e (sum |q_i|)^2 <= P norm2 e, about 3.2e-5,
     # well below 1/4; test_percival_bound_at_span_guard evaluates it.
     # The increase is checked here, so each index below is written once.
-    # Neither table is a view of the workspace, which goes with this frame.
     bad = np.flatnonzero(np.diff(rel) <= 0)
     if len(bad):
         i = int(bad[0])
@@ -272,26 +280,31 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int],
             f"pair tables need strictly increasing floors: {fmin + int(rel[i + 1])} "
             f"follows {fmin + int(rel[i])}"
         )
-    work = _fft_workspace(width, n_out)
+    table = np.zeros(n_out + 2 * margin)
+    work = _fft_workspace(width, table[margin:margin + n_out])
     x = work[0][:width]
-    x[:] = 0.0
     x[rel] = 1.0
     sums = self_convolution(x, n_out, work=work)
-    counts = np.zeros(n_out + 2 * margin, dtype=np.int32)
-    counts[margin:margin + n_out] = np.rint(sums, out=sums)
+    np.rint(sums, out=sums)
+    step = 8 * _blocks(width)[0]   # eight blocks a chunk: each but the last packs whole bytes
+    mask = np.concatenate([np.packbits(sums[i:i + step] != 0) for i in range(0, n_out, step)])
+    kept = use_counts(2 * fmin, table)
     x[:] = 0.0
     x[rel] = logs
     sums = self_convolution(x, n_out, work=work)
-    del work
-    sums[counts[margin:margin + n_out] == 0] = 0.0
-    return 2 * fmin, counts, np.pad(sums, margin)
+    del work   # the spectra go before the unpacked chunks come
+    for i in range(0, n_out, step):
+        part = sums[i:i + step]
+        part[np.unpackbits(mask[i // 8:(i + step) // 8], count=len(part)) == 0] = 0.0
+    return 2 * fmin, kept, table
 
 
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
     """Pair sums from 2 min f on: all of them, or only the first n_out (see _pair_tables)."""
     if len(f) == 0:
         return PairMap(0, np.zeros(1, dtype=np.int32), np.zeros(1), 0)
-    return PairMap(*_pair_tables(f, logs, n_out, 0), len(f))
+    return PairMap(*_pair_tables(f, logs, n_out, 0, lambda s_min, counts: counts.astype(np.int32)),
+                   len(f))
 
 
 def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
@@ -368,12 +381,20 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     so for a block of up to _MEET_TARGETS consecutive targets each p_3 reads
     one contiguous window of the table; zero margins a block wide let every
     window stay in the arrays. The p_3 that reach a block are a run of
-    rows; their windows are gathered about _MEET_CHUNK products at a time,
-    counts summed down the rows, and the weighted products cut into slices
-    whose units are fixed once per band (_slice_units, from bounds on the
-    largest and smallest product and the len(f) rows that can meet a
-    target) and summed down the rows per target. So the slice sums are
-    exact and the result is math.fsum's, whatever the blocks.
+    rows, whose windows are gathered about _MEET_CHUNK products at a time.
+
+    Two loops go over the same blocks. The first sums the count windows
+    down the rows, in the float64 counts _pair_tables hands over before it
+    builds the weights in the same buffer (or pm's int32 counts). That sum
+    is exact: an entry is at most 2^25 (PairMap) and a target meets at most
+    2^25 rows, so every partial sum is an integer below 2^50 < 2^53. The
+    second cuts the weighted products into slices whose units are fixed
+    once per band (_slice_units, from bounds on the largest and smallest
+    product and the len(f) rows that can meet a target) and sums them down
+    the rows per target. So the slice sums are exact and the result is
+    math.fsum's, whatever the blocks. Both read the tables in place, so a
+    band's peak is the workspace of _pair_tables and its mask: about 3.4
+    times 8 bytes a sum for compare --k 4 --band -100:100.
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))
@@ -382,33 +403,43 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     order = np.argsort(f, kind="stable")
     f, logs = f[order], logs[order]
     tb = min(len(Ns), _MEET_TARGETS)
+    rows = max(1, _MEET_CHUNK // tb)
+
+    def blocks(s_min: int, table: np.ndarray):
+        # each block of targets some p_3 meets, as (targets, windows of the
+        # margined table, the runs of rows and their window starts)
+        s_max = s_min + len(table) - 2 * tb - 1
+        for t in range(0, len(Ns), tb):
+            N0, width = int(Ns[t]), min(tb, len(Ns) - t)
+            a = int(np.searchsorted(f, N0 - s_max, side="left"))
+            b = int(np.searchsorted(f, N0 + width - 1 - s_min, side="right"))
+            if a < b:
+                runs = [slice(r, min(r + rows, b)) for r in range(a, b, rows)]
+                yield (slice(t, t + width), np.lib.stride_tricks.sliding_window_view(table, width),
+                       [(i, N0 - s_min + tb - f[i]) for i in runs])
+
+    def meet_counts(s_min: int, pc: np.ndarray) -> None:
+        for targets, cv, runs in blocks(s_min, pc):
+            for _, starts in runs:
+                counts[targets] += cv[starts].sum(axis=0).astype(np.int64, copy=False)
+
     if pm is None:
-        s_min, pc, pw = _pair_tables(f, logs, int(Ns[-1]) - 3 * int(f[0]) + 1, tb)
+        s_min, _, pw = _pair_tables(f, logs, int(Ns[-1]) - 3 * int(f[0]) + 1, tb, meet_counts)
     else:
-        s_min, pc, pw = pm.s_min, np.pad(pm.counts, tb), np.pad(pm.weights, tb)
-    s_max = s_min + len(pc) - 2 * tb - 1
+        s_min = pm.s_min
+        meet_counts(s_min, np.pad(pm.counts, tb))
+        pw = np.pad(pm.weights, tb)
     # Rounding is monotone: top bounds every product, small every nonzero one.
     top = float(logs.max()) * float(pw.max())
     small = float(logs.min()) * float(np.min(pw, where=pw > 0, initial=np.inf))
     units = _slice_units(top, small, len(f))
-    rows = max(1, _MEET_CHUNK // tb)
-    for t in range(0, len(Ns), tb):
-        N0, width = int(Ns[t]), min(tb, len(Ns) - t)
-        a = int(np.searchsorted(f, N0 - s_max, side="left"))
-        b = int(np.searchsorted(f, N0 + width - 1 - s_min, side="right"))
-        if a == b:
-            continue
-        cv = np.lib.stride_tricks.sliding_window_view(pc, width)
-        wv = np.lib.stride_tricks.sliding_window_view(pw, width)
-        acc = np.zeros((len(units), width))
-        for r in range(a, b, rows):
-            i = slice(r, min(r + rows, b))
-            starts = N0 - s_min + tb - f[i]     # window of p_3 number i in the margined arrays
-            counts[t:t + width] += cv[starts].sum(axis=0)   # int32 rows, summed in int64
+    for targets, wv, runs in blocks(s_min, pw):
+        acc = np.zeros((len(units), targets.stop - targets.start))
+        for i, starts in runs:
             x = wv[starts]
             x *= logs[i, None]
             _add_slices(x, units, acc)
-        weighted[t:t + width] = _join_slices(acc)
+        weighted[targets] = _join_slices(acc)
     return counts, weighted
 
 

@@ -862,6 +862,36 @@ def crosscheck_reference(table2, block2, w2):
             for interval, grid in (((0.0, 1.0), M), ((-w2.tau, w2.tau), 4096))}
 
 
+@pytest.mark.parametrize("den", [1, 2, 3, 24, 49, 28_003, 1 << 26])
+def test_near_mod_reads_the_np_remainder_root(den):
+    # the gather's phase reduction against np.remainder at phases near 0,
+    # den - 1, multiples of den, (den - 1)^2 (the largest the gather forms)
+    # and just under 2^52: congruent and within one den either way, so
+    # np.take's wrap mode reads the root np.remainder's index names. At
+    # den = 49, 49 * fl(1/49) < 1 and the multiples of 49 take the down
+    # correction.
+    top = (1 << 52) - 1
+    xs = {0, 1, 2, den - 2, den - 1, den, den + 1, (den - 1) ** 2 - 1, (den - 1) ** 2,
+          top - den, top - 1, top}
+    for k in (1, 2, 3, 1000, 1 << 20, top // den - 1, top // den):
+        xs |= {k * den - 1, k * den, k * den + 1}
+    x = np.array(sorted(v for v in xs if 0 <= v <= top), dtype=np.int64).reshape(1, -1)
+    want = np.remainder(x, den)
+    got = circle._near_mod(x.copy(), den, np.empty_like(x))
+    assert np.all((-den <= got) & (got < 2 * den))
+    assert np.array_equal(np.remainder(got, den), want)
+    assert (den == 49) == bool(np.any(got != want))
+    if den <= 28_003:
+        assert np.array_equal(np.take(np.arange(den), got, mode="wrap"), want)
+        # and the gather's sums: every numerator against frequencies 0..2 den
+        # (at den = 49, 7 * 7 is the phase 49 that the wrap takes back to 0)
+        alphas, freq = np.arange(min(den, 64)), np.arange(2 * den + 1)
+        coeff = np.random.default_rng(den).random(len(freq))
+        table = circle._roots(den)
+        ref = np.sum(table[np.remainder(np.multiply.outer(alphas, freq % den), den)] * coeff, axis=1)
+        assert circle._exp_sums(coeff, freq, alphas, den=den).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("chunk", [None, 1, 7, 10 ** 9])
 def test_quadrature_phases_bits_equal_np_mod(table2, block2, crosscheck_reference, monkeypatch,

@@ -148,6 +148,21 @@ def test_compare_deterministic_across_threads(capsys, monkeypatch, args):
     assert outs[1:] == outs[:1] * 4
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "fbea3236bda993d20bb76192024acd08194779bc4f9154ab5a2465909e471a57"),
+    ("json", "af5517fd0ab7ae9df5fe252d4f90e6676c95da49780c55eebe94b4922e0a6d29"),
+])
+def test_compare_k4_band_keeps_its_bytes(capsys, fmt, digest):
+    # sha256 of the stdout of compare --k 4 --band -100:100, recorded before
+    # the band meet read its count table in place: the band table squared
+    # from 32 blocks, its counts met and masked, its weights met in slices
+    import hashlib
+
+    code, out, _ = run(capsys, "compare", "--k", "4", "--band", "-100:100", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _chunk_spy(monkeypatch):
     # the names of the threads that run window._invert_chunk, and the pool
     # width of each map_chunks call made in the calling thread
