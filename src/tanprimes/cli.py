@@ -1,7 +1,9 @@
 """Command-line front end; emits CSV or JSON, deterministic for a fixed config.
 
-Exit codes: 0 success, 1 selftest failure, 2 usage, 3 domain error,
-4 resource guard. Each run sets the width of the pool that runs the
+Exit codes: 0 success, 1 selftest failure, 2 usage (also an --out that
+cannot be opened or written, or a failed write to stdout), 3 domain
+error, 4 resource guard, 141 a closed stdout pipe, with nothing on stderr
+(`scan ... | head -1`). Each run sets the width of the pool that runs the
 chunks of the per-point layers (see tanprimes.pool) to the CPUs the
 process may use, at most _MAX_WIDTH; no output bit depends on it, and the
 width is back to 1 when main returns. --threads has no effect.
@@ -247,7 +249,8 @@ def _cmd_exponents(a):
             to_csv)
 
 
-def _selftest() -> int:
+def _selftest() -> tuple[int, str]:
+    """The exit code of the built-in checks, 0 or 1, and their report."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         w = window_from_index(2, 1.05, 2.0)
@@ -288,32 +291,61 @@ def _selftest() -> int:
         except Exception as exc:  # surface, never hide
             lines.append(f"FAIL {check.__name__}: {type(exc).__name__}: {exc}\n")
     passed = sum(line.startswith("PASS") for line in lines)
-    sys.stdout.write("".join(lines) + f"{passed}/{len(lines)} checks passed\n")
-    return 0 if passed == len(lines) else 1
+    report = "".join(lines) + f"{passed}/{len(lines)} checks passed\n"
+    return (0 if passed == len(lines) else 1), report
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out whose directory is missing or read-only before the run."""
+    """Refuse an --out that cannot be written before the run.
+
+    An existing file must be writable itself; a new one needs a writable
+    directory.
+    """
     if path == "-":
         return
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
+    if os.path.exists(path):
+        reason = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
         reason = errno.ENOENT
-    elif not os.access(parent, os.W_OK | os.X_OK):
-        reason = errno.EACCES
     else:
-        return
-    raise UsageError(f"cannot write --out {path!r}: {os.strerror(reason)}")
+        reason = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if reason:
+        raise UsageError(f"cannot write --out {path!r}: {os.strerror(reason)}")
 
 
-def _open_out(path: str):
-    # opened only after a successful run, so a failed one leaves the file alone
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout)
+# The exit code of a run whose stdout pipe closed, as a shell reports a
+# process that SIGPIPE ended: 128 + 13.
+_EXIT_PIPE = 141
+
+
+def _emit(path: str, write) -> int:
+    """write(fh) to the --out file or stdout, flushed; 0, or _EXIT_PIPE if stdout's pipe closed.
+
+    The file is opened only after a successful run, so a failed one leaves
+    it alone. Any error opening or writing it is a UsageError, as is one
+    writing stdout other than a closed pipe. After a stdout error, stdout
+    is pointed at os.devnull, so the flush at exit has nothing left to fail
+    on and prints no "Exception ignored".
+    """
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        if path == "-":
+            write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        return 0
     except OSError as exc:
-        raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+        if path != "-":
+            raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return _EXIT_PIPE
+        raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -331,12 +363,11 @@ def main(argv=None) -> int:
             raise UsageError(f"thread count must be positive, got {a.threads}")
         with pool.threads(_width()):
             if a.command == "selftest":
-                return _selftest()
+                code, report = _selftest()
+                return _emit("-", lambda fh: fh.write(report)) or code
             _check_out(a.out_path)
             to_json, to_csv = a.run(a)
-            with _open_out(a.out_path) as fh:
-                (to_json if to_csv is None or a.out_format == "json" else to_csv)(fh)
-        return 0
+            return _emit(a.out_path, to_json if to_csv is None or a.out_format == "json" else to_csv)
     except TanprimesError as exc:
         prefix = {2: "usage error", 4: "resource guard"}.get(exc.exit_code, "error")
         print(f"{prefix}: {exc}", file=sys.stderr)

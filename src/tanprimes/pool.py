@@ -4,11 +4,12 @@ The CLI sets it with `threads(n)` for the length of one run, n the CPUs
 the process may use, at most 2; everywhere else it is 1 and `map_chunks`
 is a plain serial map. The layers that use it (window.invert_map and
 weight, circle._exp_sums, and repcount.self_convolution, whose block
-transforms are one map and whose even and odd shifts are one map each)
-hand it chunk functions that spend their time in numpy loops or pocketfft
-transforms, which release the GIL, and that each write only their own
-slice of a preallocated output. The same chunk function runs at every
-width, so no output bit depends on it.
+transforms are one map and whose shifts are another) hand it chunk
+functions that spend their time in numpy loops or pocketfft transforms,
+which release the GIL, and that each write only their own slice of a
+preallocated output; the shifts, whose outputs overlap, take turns to
+write them, in shift order. The same chunk function runs at every width,
+so no output bit depends on it.
 
 The width lives in a context variable. Threads start in an empty context,
 so the pool's own threads, and a library caller's, see width 1, and a

@@ -22,6 +22,8 @@ comes back as one BandScan of columns; report(i) is one target's row.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -134,30 +136,63 @@ def _blocks(L: int) -> tuple[int, int]:
     return a, _fft_length(2 * a - 1)
 
 
-def _fft_workspace(width: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """The arrays self_convolution fills for a width-long x and len(out) >= width sums.
+def _fft_workspace(width: int, n_out: int, margin: int = 0) -> list:
+    """The one allocation in which self_convolution squares a width-long x into n_out sums.
 
-    With a and nfft from _blocks(width): out, a float64 buffer of n_out =
-    len(out) that holds the input and then the output, which is the
-    result; the spectra of the ceil(width / a) blocks, nfft // 2 + 1
-    complex each, as the rows of one array; and for each thread of the
-    pool, at most as many as the shifts of one parity, a pair of complex
-    buffers of that length, which take a shift's sum of products and its
-    inverse transform. None is zeroed: self_convolution reads only its
-    input, which the caller writes, and what it wrote itself. So the
-    workspace is about 8 + 16 bytes a sum of out when width = n_out, as
-    on a band table, the spectra two thirds of it.
+    With a and nfft from _blocks(width), the P = ceil(width / a) block
+    spectra, nfft // 2 + 1 complex each, are the rows at the bottom of one
+    float64 allocation, and the table, the n_out sums with margin floats on
+    both sides, is its top. The shifts run from the highest down
+    (self_convolution): shift s writes from sum s a on, and the shifts
+    below it read only the first min(s, P) rows. So the allocation is the
+    shortest that holds the spectra and the table and keeps every shift's
+    writes above those rows. When n_out <= P a, as on every band table,
+    that is the spectra alone, 16 bytes a sum: 12.3 MB for the k = 4 band
+    table, whose sums took another 6.1 MB beside them. A full table of
+    2 width - 1 sums takes about 12 bytes a sum (7.3e6 floats at k = 4,
+    against 9.7e6 for its spectra and a separate buffer). Besides it, each
+    thread of the pool, at most one for two shifts, has a pair of complex
+    buffers of nfft // 2 + 1, which take a block's input, a shift's sum of
+    products and its inverse transform; self_convolution runs a task a
+    pair, each on its own thread since the tasks wait on each other, so it
+    must run at the pool width the workspace was made at. Nothing is
+    zeroed: self_convolution writes every float of the table. Returns
+    [width, table, spectra, buffers], which _to_front gives up for the
+    table alone.
     """
     a, nfft = _blocks(width)
     half = nfft // 2 + 1
     blocks = -(-width // a)
-    shifts = min(2 * blocks - 1, -(-len(out) // a))
+    shifts = min(2 * blocks - 1, -(-n_out // a))
+    top = n_out + margin   # the table's floats from its first sum up
+    floats = max([2 * half * blocks, top + margin]
+                 + [2 * half * min(s, blocks) + top - s * a for s in range(1, shifts)])
+    mem = np.empty(floats)
+    spec = mem[:2 * half * blocks].view(np.complex128).reshape(blocks, half)
     threads = min(pool.WIDTH.get(), -(-shifts // 2))
-    return (out, np.empty((blocks, half), dtype=np.complex128),
-            [np.empty((2, half), dtype=np.complex128) for _ in range(threads)])
+    return [width, mem[floats - top - margin:], spec,
+            [np.empty((2, half), dtype=np.complex128) for _ in range(threads)]]
 
 
-def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) -> np.ndarray:
+def _to_front(work: list) -> np.ndarray:
+    """The table of a workspace moved to the front of its allocation, cut to it in place.
+
+    The workspace is emptied, and no other view of the allocation may be
+    left, since what lies past the table is freed. That is checked by
+    reference count here: numpy's own check in resize also counts the bound
+    method a profiler or tracer makes of mem.resize, and so fails under one.
+    """
+    n = len(work[1])
+    mem = work[1].base
+    work.clear()
+    mem[:n] = mem[len(mem) - n:]   # forward and one-dimensional: a memmove
+    if sys.getrefcount(mem) > 2:   # this name and getrefcount's argument
+        raise ValueError("a view of the pair-table allocation outlives its table")
+    mem.resize(n, refcheck=False)
+    return mem
+
+
+def self_convolution(x, n_out: int, work: Optional[list] = None) -> np.ndarray:
     """First n_out entries of the linear convolution x * x, from blocks of x[:n_out].
 
     Only x[:n_out] is read. With L its length and a, nfft from _blocks(L),
@@ -168,65 +203,118 @@ def self_convolution(x: np.ndarray, n_out: int, work: Optional[tuple] = None) ->
     transform gives it. A cross product is taken lower block first when
     the output runs past 2a and higher first otherwise: complex products
     round differently in the two orders, and these are the orders of the
-    two-block squares whose bits the tests pin. A shift reaches at most
-    2a - 1 entries, so the even shifts tile the output and are written
-    first, each with zeros up to the next, and the odd ones are added on
-    top: every entry is at most one rounded add of two inverse outputs,
-    and entries past a shift's reach (so all past 2L - 2) are exactly 0.0.
-    With two blocks, below _BLOCKS_FROM, the odd shift has one product,
-    and its factor 2 is applied after the inverse; with more, an even
-    shift doubles its cross products before the inverse, as exactly. The
-    even and the odd shifts are one pool.map_chunks each, a task a
-    thread, each thread on its own buffers; the same products and
-    transforms run at every pool width, so no bit depends on it.
+    two-block squares whose bits the tests pin. With two blocks, below
+    _BLOCKS_FROM, the odd shift has one product, and its factor 2 is
+    applied after the inverse; with more, an even shift doubles its cross
+    products before the inverse, as exactly.
 
-    With work, x is the first L entries of the buffer of a workspace from
-    _fft_workspace(L, out) with len(out) = n_out: the transforms write into
-    the workspace and the result is its buffer. Without it a workspace is
-    made for x.
+    A shift reaches at most 2a - 1 entries, so every entry is the sum of
+    at most two shifts, s and s + 1, and is at most one rounded add of
+    two inverse outputs, fl(even + 2 odd). The shifts run from the highest
+    down, a task a thread on the pool with its own buffers, and commit in
+    that order: shift s assigns its first a entries and adds its next a
+    onto those shift s + 1 assigned. An even shift counts as 0.0 past its
+    reach and an odd one as nothing, so entries past a shift's reach (all
+    past 2L - 2) are exactly 0.0 and the bits are those of writing the
+    even shifts first and adding the odd ones. The same products and
+    transforms run at every pool width, so no bit depends on it. A failing
+    task stops the others before their next commit, and its exception is
+    raised.
+
+    The transforms run in one allocation (_fft_workspace): the spectra at
+    its bottom, the sums at its top, where shift s writes only above the
+    spectra the shifts below it read. Without work the sums are moved to
+    the front of the allocation, which is cut to them in place (_to_front):
+    the result holds no spectra. With work from _fft_workspace(L, n_out,
+    margin), the result is the n_out sums in the middle of the workspace's
+    table, whose margins are zeroed, and x may also be the pair (positions,
+    values) of the nonzero entries of an L-long vector, positions strictly
+    increasing (values may be one scalar): each block's input is then
+    filled from it in the thread's buffer.
     """
-    x = x[:n_out]
-    L = len(x)
-    a, nfft = _blocks(L)
     if work is None:
-        work = _fft_workspace(L, np.empty(n_out))
-        work[0][:L] = x
-    out, spec, bufs = work
+        x = x[:n_out]
+        work = _fft_workspace(len(x), n_out)
+        self_convolution(x, n_out, work)
+        return _to_front(work)
+    L, table, spec, bufs = work
+    a, nfft = _blocks(L)
     P = len(spec)
     size = [min(a, L - i * a) for i in range(P)]
-    pool.map_chunks(lambda i: np.fft.rfft(out[i * a:i * a + size[i]], nfft, out=spec[i]), range(P))
-    shifts = range(min(2 * P - 1, -(-n_out // a)))
+    margin = (len(table) - n_out) // 2
+    out = table[margin:margin + n_out]
+
+    if isinstance(x, tuple):
+        pos, vals = x
+        cut = np.searchsorted(pos, np.arange(P + 1) * a).tolist()
+
+        def block(i, buf):
+            q = buf[:size[i]]
+            q[:] = 0.0
+            q[pos[cut[i]:cut[i + 1]] - i * a] = vals[cut[i]:cut[i + 1]] if np.ndim(vals) else vals
+            return q
+    else:
+        def block(i, buf):
+            return x[i * a:i * a + size[i]]
+
+    def forward(t):
+        for i in range(t, P, len(bufs)):
+            np.fft.rfft(block(i, bufs[t][1].view(np.float64)), nfft, out=spec[i])
+
+    pool.map_chunks(forward, range(len(bufs)))
+    S = min(2 * P - 1, -(-n_out // a))
     lo_first = n_out > 2 * a
+    state = {"next": S - 1, "failed": False}   # the shift to commit next
+    turn = threading.Condition()
 
-    def run(job):
-        todo, (acc, tmp) = job
-        for s in todo:
-            pairs = [(s - j, j) if lo_first else (j, s - j)
-                     for j in range(min(s, P - 1), s // 2, -1)]
-            if s % 2 == 0:
-                pairs.append((s // 2, s // 2))
-            for n, (u, v) in enumerate(pairs):
-                if n and u == v:
-                    acc += acc    # the cross products count twice
-                np.multiply(spec[u], spec[v], out=tmp if n else acc)
-                if n:
-                    acc += tmp
-            r = np.fft.irfft(acc, nfft, out=tmp.view(np.float64)[:nfft])
-            o = s * a
-            # the shift's most even pair reaches furthest
-            k = min(n_out, o + size[s // 2] + size[-(-s // 2)] - 1) - o
-            if s % 2 == 0:
-                out[o:o + k] = r[:k]
-                out[o + k:min(n_out, o + 2 * a)] = 0.0
-            else:
-                r = r[:k]
-                r *= 2.0
-                out[o:o + k] += r
+    def commit(s, r):
+        o = s * a
+        e = min(2 * a, n_out - o)
+        # the shift's most even pair reaches furthest
+        k = min(e, size[s // 2] + size[-(-s // 2)] - 1)
+        if s % 2:
+            r[:k] *= 2.0
+        else:
+            r[k:] = 0.0
+            k = e
+        if s == S - 1:
+            out[o:o + e] = r[:e]
+        else:
+            out[o:o + min(a, e)] = r[:min(a, e)]
+            out[o + a:o + k] += r[a:k]
 
-    for parity in (0, 1):
-        todo = shifts[parity::2]
-        pool.map_chunks(run, [(todo[t::len(bufs)], buf) for t, buf in enumerate(bufs[:len(todo)])])
-    out[2 * a * -(-len(shifts) // 2):] = 0.0
+    def run(t):
+        acc, tmp = bufs[t]
+        try:
+            for s in range(S - 1 - t, -1, -len(bufs)):
+                pairs = [(s - j, j) if lo_first else (j, s - j)
+                         for j in range(min(s, P - 1), s // 2, -1)]
+                if s % 2 == 0:
+                    pairs.append((s // 2, s // 2))
+                for n, (u, v) in enumerate(pairs):
+                    if n and u == v:
+                        acc += acc    # the cross products count twice
+                    np.multiply(spec[u], spec[v], out=tmp if n else acc)
+                    if n:
+                        acc += tmp
+                np.fft.irfft(acc, nfft, out=tmp.view(np.float64)[:nfft])
+                with turn:
+                    turn.wait_for(lambda: state["next"] == s or state["failed"])
+                    if state["failed"]:
+                        return
+                    commit(s, tmp.view(np.float64)[:2 * a])
+                    state["next"] = s - 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                state["failed"] = True
+                turn.notify_all()
+            raise
+
+    pool.map_chunks(run, range(len(bufs)))
+    out[(S + 1) * a:] = 0.0
+    table[:margin] = 0.0
+    table[margin + n_out:] = 0.0
     return out
 
 
@@ -234,26 +322,31 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int], margin: 
                  use_counts: Callable[[int, np.ndarray], Any]) -> tuple[int, Any, np.ndarray]:
     """Pair sums from 2 min f on: all of them, or only the first n_out.
 
-    Both tables are built in one float64 buffer with margin zeros on both
-    sides of its n_out sums. First the counts: use_counts(2 min f, buffer)
+    Both tables are built in one float64 table with margin zeros on both
+    sides of its n_out sums. First the counts: use_counts(2 min f, table)
     is called with them rounded in place, exact integers, and must copy
-    what it keeps of them, since the buffer then takes the weights. Of the
+    what it keeps of them, since the table then takes the weights. Of the
     counts the build keeps only a packed nonzero mask, an eighth of a byte
     a sum, and the weights of the sums no pair reaches are zeroed by it.
-    Returns 2 min f, what use_counts returned, and the weight buffer.
+    Returns 2 min f, what use_counts returned, and the weight table.
 
     Only the floors below min f + n_out can reach those sums, so the
     multiplicity vectors hold just the first width = min(max f - min f + 1,
-    n_out) of them, the entries self_convolution reads. The span guard
-    judges max(n_out, 2*width - 1); for a full table that is the full span.
-    The transforms are those of the P blocks of _blocks, about 2*width/P
-    long, and they run on the pool.
+    n_out) of them, the entries self_convolution reads, and they are handed
+    over as the positions and values of their nonzero entries. The span
+    guard judges max(n_out, 2*width - 1); for a full table that is the
+    full span. The transforms are those of the P blocks of _blocks, about
+    2*width/P long, and they run on the pool.
 
-    Both self-convolutions run in one workspace (_fft_workspace) on the
-    buffer. So the peak is the workspace, the mask and what use_counts
-    holds: about 3.4 times 8 bytes a sum for the k = 4 band table that
-    _meet builds and meets in place, two of them the block spectra, and
-    3.7 for build_pair_map's, which copies the counts out as int32.
+    Both self-convolutions run in one workspace (_fft_workspace): the table
+    is the top of the allocation that holds the block spectra, and at the
+    end it is moved to the front and the allocation cut to it in place, so
+    the result holds no spectra. On a band table the allocation is the
+    spectra alone, so the peak is the spectra, the mask, the thread buffers
+    and what use_counts holds: about 2.35 times 8 bytes a sum for the
+    k = 4 band table that _meet builds and meets in place, 2.02 of them
+    the spectra (3.4 with a separate buffer for the sums), and 2.77 for
+    build_pair_map's, which copies the counts out as int32 (3.7).
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -280,23 +373,19 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int], margin: 
             f"pair tables need strictly increasing floors: {fmin + int(rel[i + 1])} "
             f"follows {fmin + int(rel[i])}"
         )
-    table = np.zeros(n_out + 2 * margin)
-    work = _fft_workspace(width, table[margin:margin + n_out])
-    x = work[0][:width]
-    x[rel] = 1.0
-    sums = self_convolution(x, n_out, work=work)
+    work = _fft_workspace(width, n_out, margin)
+    table = work[1]
+    sums = self_convolution((rel, 1.0), n_out, work=work)
     np.rint(sums, out=sums)
     step = 8 * _blocks(width)[0]   # eight blocks a chunk: each but the last packs whole bytes
     mask = np.concatenate([np.packbits(sums[i:i + step] != 0) for i in range(0, n_out, step)])
     kept = use_counts(2 * fmin, table)
-    x[:] = 0.0
-    x[rel] = logs
-    sums = self_convolution(x, n_out, work=work)
-    del work   # the spectra go before the unpacked chunks come
+    sums = self_convolution((rel, logs), n_out, work=work)
     for i in range(0, n_out, step):
-        part = sums[i:i + step]
-        part[np.unpackbits(mask[i // 8:(i + step) // 8], count=len(part)) == 0] = 0.0
-    return 2 * fmin, kept, table
+        hit = np.unpackbits(mask[i // 8:(i + step) // 8], count=min(step, n_out - i))
+        sums[i:i + step][hit == 0] = 0.0
+    del table, sums
+    return 2 * fmin, kept, _to_front(work)
 
 
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
@@ -393,8 +482,9 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     product and the len(f) rows that can meet a target) and sums them down
     the rows per target. So the slice sums are exact and the result is
     math.fsum's, whatever the blocks. Both read the tables in place, so a
-    band's peak is the workspace of _pair_tables and its mask: about 3.4
-    times 8 bytes a sum for compare --k 4 --band -100:100.
+    band's peak is the workspace of _pair_tables and its mask: about 2.35
+    times 8 bytes a sum for compare --k 4 --band -100:100 (53.9 MiB peak
+    RSS before the sums moved into the spectra's allocation, 48.2 after).
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))

@@ -574,6 +574,50 @@ def test_failed_run_keeps_out_file(capsys, tmp_path):
     assert dest.read_text() == "kept\n"
 
 
+def _cli(*argv, **kw):
+    src = pathlib.Path(tanprimes.__file__).parents[1]
+    return subprocess.Popen([sys.executable, "-m", "tanprimes.cli", *argv], stderr=subprocess.PIPE,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)), **kw)
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["scan", "--k", "3", "--band", "-20000:20000"], "N,count,weighted\n"),
+    (["selftest"], None),
+], ids=["scan", "selftest"])
+def test_closed_stdout_pipe_exits_quietly(argv, head):
+    # scan --k 3 --band -20000:20000 | head -1: the 40 001 rows outgrow the
+    # pipe, so the run writes after its reader has gone; selftest's reader
+    # goes before the checks end. Exit 141 (a shell's code for SIGPIPE, not
+    # selftest's 1), and neither a traceback nor an "Exception ignored" from
+    # the flush at exit
+    with _cli(*argv, stdout=subprocess.PIPE) as proc:
+        if head is not None:
+            assert proc.stdout.readline() == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_is_a_usage_error():
+    # /dev/full opens and then fails every write with ENOSPC: one usage
+    # error line and exit 2, as for an --out that cannot be opened; on
+    # stdout the same failure reads "cannot write stdout"
+    with open("/dev/full", "w") as full:
+        for args, stdout, want in (
+                (["--out", "/dev/full"], subprocess.DEVNULL,
+                 "usage error: cannot write --out '/dev/full': No space left on device"),
+                ([], full, "usage error: cannot write stdout: No space left on device")):
+            with _cli("compare", "--k", "2", "--band", "-1:1", *args, stdout=stdout) as proc:
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == 2
+            lines = err.splitlines()
+            assert lines[-1] == want
+            assert sum(line.startswith("usage error") for line in lines) == 1
+            assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ("values", "--k", "2", "--c", "20"),
     ("values", "--k", "2", "--c", "200"),

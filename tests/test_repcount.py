@@ -3,6 +3,8 @@ search, and the classical Piatetski-Shapiro style cross-check."""
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -88,6 +90,88 @@ def test_self_convolution_of_sparse_vectors_on_both_sides_of_the_blocks(W):
         assert len(got) == n_out
         assert np.max(np.abs(got[:len(want)] - want)) < 1e-9
         assert np.all(got[len(want):] == 0.0)
+
+
+@pytest.mark.parametrize("W", [97, 201])
+def test_self_convolution_in_many_blocks_matches_exact(monkeypatch, W):
+    # _BLOCKS blocks from 64 floors on: W = 97 takes 25 blocks of 4 (the
+    # last of 1), W = 201 29 of 7 (the last of 5). Every n_out from 1 to
+    # 2W + 2 squares x[:n_out], in two blocks below 64 and in blocks from
+    # there, with every shift up to 2P - 2 past W. Small integers square
+    # exactly; both pool widths give the same bits, and every entry past
+    # 2W - 2 is exactly 0.0
+    monkeypatch.setattr(repcount, "_BLOCKS_FROM", 64)
+    x = np.random.default_rng(W).integers(0, 4, W)
+    assert repcount._blocks(W)[0] == -(-W // repcount._BLOCKS) and W % repcount._blocks(W)[0]
+    for n_out in range(1, 2 * W + 3):
+        exact = np.convolve(x[:n_out], x[:n_out])[:n_out]
+        got = self_convolution(x.astype(np.float64), n_out)
+        with pool.threads(2):
+            assert self_convolution(x.astype(np.float64), n_out).tobytes() == got.tobytes()
+        assert len(got) == n_out and got.base is None
+        assert np.max(np.abs(got[:len(exact)] - exact)) < 1e-9
+        assert np.all(got[len(exact):] == 0.0)
+
+
+def _in_daemon(fn, width: int, timeout: float = 60.0) -> list:
+    # fn() at the pool width in a daemon thread, joined with a timeout, so a
+    # pool left waiting fails the test instead of hanging it; returns what
+    # fn raised
+    raised = []
+
+    def call():
+        with pool.threads(width):
+            try:
+                fn()
+            except Exception as exc:
+                raised.append(exc)
+
+    t = threading.Thread(target=call, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive()
+    return raised
+
+
+@pytest.mark.parametrize("fail_at", [2, 7, 31])
+def test_failing_shift_stops_the_pool(monkeypatch, fail_at):
+    # one of the 57 shifts' inverse transforms raises at pool width 2,
+    # while the other thread's shifts wait their turn to commit: the error
+    # reaches the caller and no thread is left waiting
+    class Failed(Exception):
+        pass
+
+    monkeypatch.setattr(repcount, "_BLOCKS_FROM", 64)
+    calls = iter(range(1, 10 ** 6))
+    irfft = np.fft.irfft
+
+    def failing(*args, **kw):
+        if next(calls) == fail_at:
+            raise Failed
+        return irfft(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", failing)
+    x = np.random.default_rng(1).random(201)
+    raised = _in_daemon(lambda: self_convolution(x, 2 * len(x) - 1), 2)
+    assert len(raised) == 1 and isinstance(raised[0], Failed)
+
+
+def test_shift_commits_keep_their_order_under_contention(monkeypatch):
+    # five threads, more than the cores, take turns to commit the 57 shifts
+    # of a 29-block square while the interpreter switches threads every
+    # microsecond: the bits of the serial square, every time
+    monkeypatch.setattr(repcount, "_BLOCKS_FROM", 64)
+    x = np.random.default_rng(2).random(201)
+    want = self_convolution(x, 2 * len(x) - 1).tobytes()
+    got = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert not _in_daemon(lambda: got.extend(self_convolution(x, 2 * len(x) - 1).tobytes()
+                                                 for _ in range(20)), 5)
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [want] * 20
 
 
 def test_pair_map_matches_bincount(table3, block3, pairmap3):
@@ -533,10 +617,12 @@ def test_band_table_bits_equal_untruncated_k4(band_table4):
 
 def test_band_table_keeps_memory_to_the_band_k4(band_table4):
     # the multiplicity vectors hold only the floors the band reads, and both
-    # self-convolutions share one workspace: under 4 times 8 bytes a sum
-    # (3.67 measured, with _BLOCKS block transforms; 4.56 with half-length
-    # transforms, 4.59 with one transform of the whole length, 6.1 with a
-    # buffer per transform, 8.2 with bincounts over all 2.4e6 floors)
+    # self-convolutions run in the allocation of their block spectra, the
+    # sums at its top: under 2.8 times 8 bytes a sum (2.77 measured, the
+    # spectra 2.02 of it and the int32 counts 0.5; 3.70 with a separate
+    # buffer for the sums, 4.56 with half-length transforms, 4.59 with one
+    # transform of the whole length, 6.1 with a buffer per transform, 8.2
+    # with bincounts over all 2.4e6 floors)
     import tracemalloc
 
     f, logs, pm = band_table4
@@ -546,14 +632,15 @@ def test_band_table_keeps_memory_to_the_band_k4(band_table4):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * len(pm.counts)
+    assert peak < 2.8 * 8 * len(pm.counts)
 
 
 def test_band_meet_keeps_memory_to_the_band_k4(table4, block4, w4, band_table4):
-    # the band meet reads the counts and then the weights in the one buffer
-    # the table is built in, keeping only a packed mask of the counts:
-    # under 3.6 times 8 bytes a sum at pool width 1 (3.37 measured, 3.76
-    # with an int32 count table and padded copies of both tables)
+    # the band meet reads the counts and then the weights in the one
+    # allocation the table is built in, keeping only a packed mask of the
+    # counts: under 2.4 times 8 bytes a sum at pool width 1 (2.35 measured;
+    # 3.37 with a separate buffer for the sums, 3.76 with an int32 count
+    # table and padded copies of both tables)
     import tracemalloc
 
     n_out = len(band_table4[2].counts)
@@ -564,7 +651,57 @@ def test_band_meet_keeps_memory_to_the_band_k4(table4, block4, w4, band_table4):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 3.6 * 8 * n_out
+    assert peak < 2.4 * 8 * n_out
+
+
+def _owns_its_floats(a: np.ndarray) -> bool:
+    # a's memory is its own, or a view of no more than its own bytes
+    return a.base is None or a.base.nbytes <= a.nbytes
+
+
+def test_pair_tables_hold_no_spectra(table3, block3, w3, band_table4):
+    # the tables come out of the allocation that held the block spectra,
+    # moved to its front and cut to their sums and margins: a two-block k=3
+    # table, the CLI's k=4 band table and a full table of the first 3e5 k=4
+    # floors, whose allocation is longer than its spectra
+    f4, logs4, pm4 = band_table4
+    first = f4 < f4[0] + 300_000
+    cases = ((table3.f, block3.logs, w3.n_star + 100 - 3 * int(table3.f[0]) + 1),
+             (f4, logs4, len(pm4.counts)), (f4[first], logs4[first], None))
+    for f, logs, n_out in cases:
+        pm = repcount._pair_map_from_arrays(f, logs, n_out)
+        assert _owns_its_floats(pm.counts) and _owns_its_floats(pm.weights)
+        for margin in (0, 201):
+            _, kept, table = repcount._pair_tables(f, logs, n_out, margin, lambda s, c: c.copy())
+            assert len(table) == len(kept) == len(pm.weights) + 2 * margin
+            assert _owns_its_floats(table) and _owns_its_floats(kept)
+            assert table[margin:len(table) - margin].tobytes() == pm.weights.tobytes()
+            assert not table[:margin].any() and not table[len(table) - margin:].any()
+    assert _owns_its_floats(self_convolution(np.ones(5), 9))
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_pair_tables_shrink_under_a_tracer(hook):
+    # a tracer or profiler (coverage, cProfile, a debugger) makes a bound
+    # method of the array it calls resize on, which numpy's own reference
+    # check counts: the tables still come out, cut to their sums, and a
+    # use_counts that keeps a view of the allocation is still refused
+    f = np.array([3, 5, 9, 10, 16])
+    logs = np.log(f + 1.0)
+    want = repcount._pair_map_from_arrays(f, logs).weights.tobytes()
+    kept = []
+    setter, getter = getattr(sys, hook), getattr(sys, hook.replace("set", "get"))
+    before = getter()
+    setter(lambda *args: None)
+    try:
+        got = repcount._pair_map_from_arrays(f, logs).weights.tobytes()
+        square = self_convolution(np.ones(5), 9)
+        with pytest.raises(ValueError, match="outlives"):
+            repcount._pair_tables(f, logs, None, 2, lambda s, c: kept.append(c))
+    finally:
+        setter(before)
+    assert got == want
+    assert np.rint(square).tolist() == [1, 2, 3, 4, 5, 4, 3, 2, 1] and square.base is None
 
 
 def test_scan_band_k3_keeps_its_bits(table3, block3, w3, pairmap3):
