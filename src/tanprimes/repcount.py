@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -128,9 +127,9 @@ def _blocks(L: int) -> tuple[int, int]:
     x is cut into P blocks of a = ceil(L / P): P = 2 below _BLOCKS_FROM,
     under which every k <= 3 table and singular-integral grid falls at
     (c, theta) = (1.02, 1.5) and (1.05, 2.0) (the longest is 208 649), and
-    _BLOCKS from there on (transforms of 48 000 for the k = 4 band table,
-    whose two blocks took 768 000). Each block product fits one transform of the
-    5-smooth length nfft >= 2a - 1 without wrapping around.
+    _BLOCKS from there on (transforms of 48 000 for the k = 4 band table).
+    Each block product fits one transform of the 5-smooth length
+    nfft >= 2a - 1 without wrapping around.
     """
     a = -(-L // (2 if L < _BLOCKS_FROM else _BLOCKS))
     return a, _fft_length(2 * a - 1)
@@ -148,17 +147,10 @@ def _fft_workspace(width: int, n_out: int, margin: int = 0) -> list:
     shortest that holds the spectra and the table and keeps every shift's
     writes above those rows. When n_out <= P a, as on every band table,
     that is the spectra alone, 16 bytes a sum: 12.3 MB for the k = 4 band
-    table, whose sums took another 6.1 MB beside them. A full table of
-    2 width - 1 sums takes about 12 bytes a sum (7.3e6 floats at k = 4,
-    against 9.7e6 for its spectra and a separate buffer). Besides it, each
-    thread of the pool, at most one for two shifts, has a pair of complex
-    buffers of nfft // 2 + 1, which take a block's input, a shift's sum of
-    products and its inverse transform; self_convolution runs a task a
-    pair, each on its own thread since the tasks wait on each other, so it
-    must run at the pool width the workspace was made at. Nothing is
-    zeroed: self_convolution writes every float of the table. Returns
-    [width, table, spectra, buffers], which _to_front gives up for the
-    table alone.
+    table. A full table of 2 width - 1 sums takes about 12 bytes a sum
+    (7.3e6 floats at k = 4). Nothing is zeroed: self_convolution writes
+    every float of the table. Returns [width, table, spectra], which
+    _to_front gives up for the table alone.
     """
     a, nfft = _blocks(width)
     half = nfft // 2 + 1
@@ -169,9 +161,7 @@ def _fft_workspace(width: int, n_out: int, margin: int = 0) -> list:
                  + [2 * half * min(s, blocks) + top - s * a for s in range(1, shifts)])
     mem = np.empty(floats)
     spec = mem[:2 * half * blocks].view(np.complex128).reshape(blocks, half)
-    threads = min(pool.WIDTH.get(), -(-shifts // 2))
-    return [width, mem[floats - top - margin:], spec,
-            [np.empty((2, half), dtype=np.complex128) for _ in range(threads)]]
+    return [width, mem[floats - top - margin:], spec]
 
 
 def _to_front(work: list) -> np.ndarray:
@@ -210,16 +200,19 @@ def self_convolution(x, n_out: int, work: Optional[list] = None) -> np.ndarray:
 
     A shift reaches at most 2a - 1 entries, so every entry is the sum of
     at most two shifts, s and s + 1, and is at most one rounded add of
-    two inverse outputs, fl(even + 2 odd). The shifts run from the highest
-    down, a task a thread on the pool with its own buffers, and commit in
-    that order: shift s assigns its first a entries and adds its next a
-    onto those shift s + 1 assigned. An even shift counts as 0.0 past its
-    reach and an odd one as nothing, so entries past a shift's reach (all
-    past 2L - 2) are exactly 0.0 and the bits are those of writing the
-    even shifts first and adding the odd ones. The same products and
-    transforms run at every pool width, so no bit depends on it. A failing
-    task stops the others before their next commit, and its exception is
-    raised.
+    two inverse outputs, fl(even + 2 odd). The shifts are one pool map from
+    the highest down, and each commits as the map's then step, so in that
+    order: shift s assigns its first a entries and adds its next a onto
+    those shift s + 1 assigned. An even shift counts as 0.0 past its reach
+    and an odd one as nothing, so entries past a shift's reach (all past
+    2L - 2) are exactly 0.0 and the bits are those of writing the even
+    shifts first and adding the odd ones. The same products and transforms
+    run at every pool width, so no bit depends on it.
+
+    Both maps run on T threads, T the pool width but at most one for two
+    of the S shifts, each with a pair of complex buffers made here: a
+    thread's pair takes its blocks' input, and shift s works in pair
+    (S - 1 - s) % T, since at most T consecutive shifts await their commit.
 
     The transforms run in one allocation (_fft_workspace): the spectra at
     its bottom, the sums at its top, where shift s writes only above the
@@ -237,7 +230,7 @@ def self_convolution(x, n_out: int, work: Optional[list] = None) -> np.ndarray:
         work = _fft_workspace(len(x), n_out)
         self_convolution(x, n_out, work)
         return _to_front(work)
-    L, table, spec, bufs = work
+    L, table, spec = work
     a, nfft = _blocks(L)
     P = len(spec)
     size = [min(a, L - i * a) for i in range(P)]
@@ -257,15 +250,29 @@ def self_convolution(x, n_out: int, work: Optional[list] = None) -> np.ndarray:
         def block(i, buf):
             return x[i * a:i * a + size[i]]
 
-    def forward(t):
-        for i in range(t, P, len(bufs)):
-            np.fft.rfft(block(i, bufs[t][1].view(np.float64)), nfft, out=spec[i])
-
-    pool.map_chunks(forward, range(len(bufs)))
     S = min(2 * P - 1, -(-n_out // a))
     lo_first = n_out > 2 * a
-    state = {"next": S - 1, "failed": False}   # the shift to commit next
-    turn = threading.Condition()
+    T = min(pool.WIDTH.get(), -(-S // 2))   # at most one thread and buffer pair for two shifts
+    bufs = [np.empty((2, spec.shape[1]), dtype=np.complex128) for _ in range(T)]
+
+    def forward(t):
+        for i in range(t, P, T):
+            np.fft.rfft(block(i, bufs[t][1].view(np.float64)), nfft, out=spec[i])
+
+    def shift(s):
+        acc, tmp = bufs[(S - 1 - s) % T]
+        pairs = [(s - j, j) if lo_first else (j, s - j)
+                 for j in range(min(s, P - 1), s // 2, -1)]
+        if s % 2 == 0:
+            pairs.append((s // 2, s // 2))
+        for n, (u, v) in enumerate(pairs):
+            if n and u == v:
+                acc += acc    # the cross products count twice
+            np.multiply(spec[u], spec[v], out=tmp if n else acc)
+            if n:
+                acc += tmp
+        np.fft.irfft(acc, nfft, out=tmp.view(np.float64)[:nfft])
+        return tmp.view(np.float64)[:2 * a]
 
     def commit(s, r):
         o = s * a
@@ -283,35 +290,9 @@ def self_convolution(x, n_out: int, work: Optional[list] = None) -> np.ndarray:
             out[o:o + min(a, e)] = r[:min(a, e)]
             out[o + a:o + k] += r[a:k]
 
-    def run(t):
-        acc, tmp = bufs[t]
-        try:
-            for s in range(S - 1 - t, -1, -len(bufs)):
-                pairs = [(s - j, j) if lo_first else (j, s - j)
-                         for j in range(min(s, P - 1), s // 2, -1)]
-                if s % 2 == 0:
-                    pairs.append((s // 2, s // 2))
-                for n, (u, v) in enumerate(pairs):
-                    if n and u == v:
-                        acc += acc    # the cross products count twice
-                    np.multiply(spec[u], spec[v], out=tmp if n else acc)
-                    if n:
-                        acc += tmp
-                np.fft.irfft(acc, nfft, out=tmp.view(np.float64)[:nfft])
-                with turn:
-                    turn.wait_for(lambda: state["next"] == s or state["failed"])
-                    if state["failed"]:
-                        return
-                    commit(s, tmp.view(np.float64)[:2 * a])
-                    state["next"] = s - 1
-                    turn.notify_all()
-        except BaseException:
-            with turn:
-                state["failed"] = True
-                turn.notify_all()
-            raise
-
-    pool.map_chunks(run, range(len(bufs)))
+    with pool.threads(T):   # at most T shifts between their products and their commit
+        pool.map_chunks(forward, range(T))
+        pool.map_chunks(shift, range(S - 1, -1, -1), then=commit)
     out[(S + 1) * a:] = 0.0
     table[:margin] = 0.0
     table[margin + n_out:] = 0.0
@@ -342,11 +323,11 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int], margin: 
     is the top of the allocation that holds the block spectra, and at the
     end it is moved to the front and the allocation cut to it in place, so
     the result holds no spectra. On a band table the allocation is the
-    spectra alone, so the peak is the spectra, the mask, the thread buffers
-    and what use_counts holds: about 2.35 times 8 bytes a sum for the
-    k = 4 band table that _meet builds and meets in place, 2.02 of them
-    the spectra (3.4 with a separate buffer for the sums), and 2.77 for
-    build_pair_map's, which copies the counts out as int32 (3.7).
+    spectra alone, so the peak is the spectra and the mask, with the thread
+    buffers of a square or what use_counts holds beside them: about 2.26
+    times 8 bytes a sum for the k = 4 band table that _meet builds and
+    meets in place, 2.02 of them the spectra, and 2.71 for
+    build_pair_map's, which copies the counts out as int32.
     """
     fmin = int(f.min())
     fmax = int(f.max())
@@ -482,9 +463,9 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     product and the len(f) rows that can meet a target) and sums them down
     the rows per target. So the slice sums are exact and the result is
     math.fsum's, whatever the blocks. Both read the tables in place, so a
-    band's peak is the workspace of _pair_tables and its mask: about 2.35
-    times 8 bytes a sum for compare --k 4 --band -100:100 (53.9 MiB peak
-    RSS before the sums moved into the spectra's allocation, 48.2 after).
+    band's peak is the workspace of _pair_tables and its mask: about 2.26
+    times 8 bytes a sum for compare --k 4 --band -100:100, whose peak RSS
+    is 47.5 MiB.
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))

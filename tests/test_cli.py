@@ -177,9 +177,9 @@ def _chunk_spy(monkeypatch):
         names.add(threading.current_thread().name)
         return invert_chunk(*a)
 
-    def map_spy(fn, items):
+    def map_spy(fn, items, **kw):
         widths.append(pool.WIDTH.get())
-        return map_chunks(fn, items)
+        return map_chunks(fn, items, **kw)
 
     monkeypatch.setattr(window, "_invert_chunk", spy)
     monkeypatch.setattr(pool, "map_chunks", map_spy)
@@ -298,6 +298,59 @@ def test_pool_hands_out_each_item_once_under_contention():
     assert outcome["raised"] == 700
     assert not [t for t in threading.enumerate() if t.name.startswith("tanprimes")]
 
+
+def test_pool_runs_then_in_item_order_under_contention():
+    # eight pool threads switching every microsecond, each fn handing the
+    # GIL on as numpy's loops do: then runs once per item, in item order, on
+    # the thread that ran fn on it; a then that raises at item 700 raises
+    # its exception, no later then runs, and no thread is left
+    import threading
+
+    from tanprimes import pool
+
+    n = 3000
+    ran, order = {}, []
+
+    def fn(i):
+        ran[i] = threading.current_thread().name
+        time.sleep(0)
+        return i * i
+
+    def then(i, r):
+        assert r == i * i and ran[i] == threading.current_thread().name
+        order.append(i)
+
+    def then_fail_at_700(i, r):
+        if i == 700:
+            raise ValueError(i)
+        order.append(i)
+
+    outcome = {}
+
+    def main():
+        with pool.threads(8):
+            outcome["squares"] = pool.map_chunks(fn, range(n), then=then)
+            outcome["order"] = order[:]
+            order.clear()
+            try:
+                pool.map_chunks(fn, range(n), then=then_fail_at_700)
+            except ValueError as exc:
+                outcome["raised"] = exc.args[0]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=main)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not caller.is_alive()
+    assert outcome["squares"] == [i * i for i in range(n)]
+    assert outcome["order"] == list(range(n))
+    assert len(set(ran.values())) > 1
+    assert outcome["raised"] == 700 and order == list(range(700))
+    assert not [t for t in threading.enumerate() if t.name.startswith("tanprimes")]
 
 def test_pool_loads_nothing_until_used():
     # importing the CLI, or a --threads 2 run that maps no chunks, leaves

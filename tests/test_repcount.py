@@ -174,6 +174,23 @@ def test_shift_commits_keep_their_order_under_contention(monkeypatch):
     assert got == [want] * 20
 
 
+def test_workspace_squares_at_any_pool_width(monkeypatch):
+    # a workspace made at pool width 2 is squared at widths 1 and 5, with
+    # the bits of the square at width 1: the thread buffers are made at the
+    # width the square runs at, so no shift waits on a thread that is not there
+    monkeypatch.setattr(repcount, "_BLOCKS_FROM", 64)
+    x = np.random.default_rng(3).random(201)
+    n_out = 2 * len(x) - 1
+    want = self_convolution(x, n_out).tobytes()
+    with pool.threads(2):
+        work = repcount._fft_workspace(len(x), n_out)
+    for width in (1, 5):
+        got = []
+        assert not _in_daemon(lambda: got.append(self_convolution(x, n_out, work).tobytes()),
+                              width, timeout=10.0)
+        assert got == [want], width
+
+
 def test_pair_map_matches_bincount(table3, block3, pairmap3):
     f, logs = table3.f, block3.logs
     assert np.all(np.diff(f) > 0)  # distinct floors: the premise of the rint bound
@@ -618,7 +635,7 @@ def test_band_table_bits_equal_untruncated_k4(band_table4):
 def test_band_table_keeps_memory_to_the_band_k4(band_table4):
     # the multiplicity vectors hold only the floors the band reads, and both
     # self-convolutions run in the allocation of their block spectra, the
-    # sums at its top: under 2.8 times 8 bytes a sum (2.77 measured, the
+    # sums at its top: under 2.8 times 8 bytes a sum (2.71 measured, the
     # spectra 2.02 of it and the int32 counts 0.5; 3.70 with a separate
     # buffer for the sums, 4.56 with half-length transforms, 4.59 with one
     # transform of the whole length, 6.1 with a buffer per transform, 8.2
@@ -638,7 +655,7 @@ def test_band_table_keeps_memory_to_the_band_k4(band_table4):
 def test_band_meet_keeps_memory_to_the_band_k4(table4, block4, w4, band_table4):
     # the band meet reads the counts and then the weights in the one
     # allocation the table is built in, keeping only a packed mask of the
-    # counts: under 2.4 times 8 bytes a sum at pool width 1 (2.35 measured;
+    # counts: under 2.4 times 8 bytes a sum at pool width 1 (2.26 measured;
     # 3.37 with a separate buffer for the sums, 3.76 with an int32 count
     # table and padded copies of both tables)
     import tracemalloc
