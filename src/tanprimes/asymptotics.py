@@ -192,11 +192,9 @@ def _exact_mean(x: np.ndarray) -> float:
     _add_slices), which add up as a few Fractions; any other column takes
     statistics.mean itself.
     """
-    mag = np.abs(x)
-    top = float(mag.max())
-    if not top < 2.0 ** 970:          # NaN, an infinity, or too large to cut
+    units = _slice_units(len(x), x)
+    if units is None:                 # NaN, an infinity, or too large to cut
         return statistics.mean(x.tolist())
-    units = _slice_units(top, float(np.min(mag, where=mag > 0, initial=np.inf)), len(x))
     acc = np.zeros((len(units), 1))
     _add_slices(x[:, None].copy(), units, acc)
     return float(sum(map(Fraction, acc[:, 0].tolist())) / len(x))

@@ -147,11 +147,9 @@ def _class_sums(coeff: np.ndarray, freq: np.ndarray, dens) -> dict | None:
     n, L = len(freq), math.lcm(*dens)
     step = max(_TERM_CHUNK, 64)
     chunks = [slice(s, s + step) for s in range(0, n, step)]
-    top, small = np.array([(a.max(), np.min(a, where=a > 0, initial=np.inf))
-                           for a in (np.abs(coeff[c]) for c in chunks)]).T
-    if not top.max() < 2.0 ** 970:
+    units = _slice_units(n, coeff)
+    if units is None:
         return None
-    units = _slice_units(float(top.max()), float(small.min()), n)
     acc = np.zeros((len(units), L))
     for c in chunks:
         cls = (freq[c] % L).astype(np.intp, copy=False)

@@ -134,7 +134,7 @@ def _cmd_window(a):
     return lambda fh: write_json({**dataclasses.asdict(w), **extra}, fh), None
 
 
-_GRID_GUARD = 10 ** 6  # expsum alphas, the row cap of a scan's band
+_GRID_GUARD = 10 ** 6  # most alphas of one expsum run (a scan's band rows: repcount._BAND_GUARD)
 _SCAN_FMT = "%d,%d,%.12g\n"                 # N,count,weighted
 _COMPARE_FMT = "%d,%d,%.12g,%.12g,%.12g\n"   # ... then main_term,ratio
 

@@ -11,13 +11,15 @@ the independent oracle. Ordered triples are counted, diagonals included.
 
 The weighted sum over p_3 of each target is exact until one final rounding:
 every product is cut without error into integer slices on units fixed once
-per band, 52 - rows.bit_length() bits wide for the rows that can meet a
-target (26 bits at the 2^25 bound, 42 for the 992 primes of k = 3), each
-slice is summed exactly in float64, and the slice sums are joined: one add
-for two slices (the correctly rounded sum of two exact floats), math.fsum
-for more. The result is the correctly rounded sum, the same bits as
-math.fsum of the products, whatever the order or the blocking. A band
-comes back as one BandScan of columns; report(i) is one target's row.
+per band from the magnitudes of the logs and the weights (_slice_units),
+52 - rows.bit_length() bits wide for the rows that can meet a target (26
+bits at the 2^25 bound, 42 for the 992 primes of k = 3), each slice is
+summed exactly in float64, and the slice sums are joined: one add for two
+slices (the correctly rounded sum of two exact floats), math.fsum for
+more. The result is the correctly rounded sum, the same bits as math.fsum
+of the products, whatever the order or the blocking, for any finite
+weights whose products stay below 2^970. A band comes back as one BandScan
+of columns; report(i) is one target's row.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ _BLOCKS = 32
 _BAND_GUARD = 10 ** 6
 _MEET_CHUNK = 1 << 16      # products the band meet gathers at once (at least one row)
 _MEET_TARGETS = 1 << 12    # targets of one block of the band meet
+_SCAN_CHUNK = 1 << 16      # magnitudes _slice_units scans at once
 
 
 @dataclass(frozen=True)
@@ -369,10 +372,17 @@ def _pair_tables(f: np.ndarray, logs: np.ndarray, n_out: Optional[int], margin: 
     return 2 * fmin, kept, _to_front(work)
 
 
+def _by_floor(f: np.ndarray, *cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """f sorted, stably, and each of cols in the same order: the rows as the meets read them."""
+    order = np.argsort(f, kind="stable")
+    return (f[order], *(c[order] for c in cols))
+
+
 def _pair_map_from_arrays(f: np.ndarray, logs: np.ndarray, n_out: Optional[int] = None) -> PairMap:
-    """Pair sums from 2 min f on: all of them, or only the first n_out (see _pair_tables)."""
+    """Pair sums from 2 min f on, rows in any order: all, or only the first n_out (see _pair_tables)."""
     if len(f) == 0:
         return PairMap(0, np.zeros(1, dtype=np.int32), np.zeros(1), 0)
+    f, logs = _by_floor(f, logs)
     return PairMap(*_pair_tables(f, logs, n_out, 0, lambda s_min, counts: counts.astype(np.int32)),
                    len(f))
 
@@ -381,22 +391,38 @@ def build_pair_map(values: ValueTable, logs: np.ndarray) -> PairMap:
     return _pair_map_from_arrays(values.f, log_weights(values, logs))
 
 
-def _slice_units(top: float, small: float, rows: int) -> range:
-    """Exponents u, highest first, of the 2^u units of the exact-sum slices.
+def _slice_units(rows: int, *factors) -> Optional[range]:
+    """Exponents u, highest first, of the 2^u units of the exact-sum slices, or None.
 
-    top bounds the magnitude of every value to be cut, 0 < small <= top
-    bounds every nonzero one from below, top < 2^970, and a column of
-    values summed at once has at most rows >= 1 of them. Slices are
+    The values to be cut are the float64 products of one entry of each
+    factor (with one factor, its entries), of any sign, and a column of
+    them summed at once has at most rows >= 1 of them. Rounding is
+    monotone, so the product of the factors' largest magnitudes, top,
+    bounds every value, and that of their smallest nonzero ones, small,
+    every nonzero value from below; the magnitudes are scanned _SCAN_CHUNK
+    at a time. None unless top is finite and below 2^970. Slices are
     w = 52 - rows.bit_length() bits wide (26 at 2^25 rows), so that rows
     parts of at most 2^w units sum below 2^52 units. With top = 0 every
-    value is 0 and one slice holds them. The lowest unit 2^lo is at most
-    the ulp of small, so it divides every value; the highest is at least
-    top's exponent - w.
+    value is 0 and one slice holds them. The lowest unit 2^lo is the ulp of
+    small, or 2^-1074 if small underflows, so it divides every value; the
+    highest is at least top's exponent - w.
     """
     width = 52 - rows.bit_length()
+    top, small = 1.0, 1.0
+    for x in factors:
+        x = np.ravel(x)
+        hi, lo = 0.0, math.inf
+        for i in range(0, len(x), _SCAN_CHUNK):
+            a = np.abs(x[i:i + _SCAN_CHUNK])
+            hi = float(np.max((hi, a.max())))   # np.max keeps a NaN
+            lo = min(lo, float(np.min(a, where=a > 0, initial=np.inf)))
+        top *= hi
+        small *= lo
+    if not top < 2.0 ** 970:
+        return None
     if top == 0.0:
         return range(0, -1, -width)
-    lo = max(math.frexp(small)[1] - 53, -1074)
+    lo = max(math.frexp(small)[1] - 53, -1074) if small else -1074
     return range(lo + (math.frexp(top)[1] - lo - 1) // width * width, lo - 1, -width)
 
 
@@ -447,10 +473,11 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
 
     Without pm the table stops at the largest pair sum the band reads,
     max Ns - min f, and none is built when no triple reaches the band.
-    Sorted by f, p_3 number i meets target N at table index N - s_min - f_i,
-    so for a block of up to _MEET_TARGETS consecutive targets each p_3 reads
-    one contiguous window of the table; zero margins a block wide let every
-    window stay in the arrays. The p_3 that reach a block are a run of
+    The rows may come in any order. Sorted by floor (_by_floor), p_3 number
+    i meets target N at table index N - s_min - f_i, so for a block of up to
+    _MEET_TARGETS consecutive targets each p_3 reads one contiguous window
+    of the table; zero margins a block wide let every window stay in the
+    arrays. The p_3 that reach a block are a run of
     rows, whose windows are gathered about _MEET_CHUNK products at a time.
 
     Two loops go over the same blocks. The first sums the count windows
@@ -458,21 +485,21 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
     builds the weights in the same buffer (or pm's int32 counts). That sum
     is exact: an entry is at most 2^25 (PairMap) and a target meets at most
     2^25 rows, so every partial sum is an integer below 2^50 < 2^53. The
-    second cuts the weighted products into slices whose units are fixed
-    once per band (_slice_units, from bounds on the largest and smallest
-    product and the len(f) rows that can meet a target) and sums them down
+    second cuts the products of log p_3 and the table's weight into slices
+    whose units are fixed once per band (_slice_units of the len(f) rows
+    that can meet a target, logs and the weight table) and sums them down
     the rows per target. So the slice sums are exact and the result is
-    math.fsum's, whatever the blocks. Both read the tables in place, so a
-    band's peak is the workspace of _pair_tables and its mask: about 2.26
-    times 8 bytes a sum for compare --k 4 --band -100:100, whose peak RSS
-    is 47.5 MiB.
+    math.fsum's, whatever the blocks, for any finite weights, of any sign,
+    whose products stay below 2^970; other weights raise InvalidParameter.
+    Both read the tables in place, so a band's peak is the workspace of
+    _pair_tables and its mask: about 2.26 times 8 bytes a sum for
+    compare --k 4 --band -100:100, whose peak RSS is 47.5 MiB.
     """
     counts = np.zeros(len(Ns), dtype=np.int64)
     weighted = np.zeros(len(Ns))
     if not (len(f) and Ns[-1] >= 3 * int(f.min()) and Ns[0] <= 3 * int(f.max())):
         return counts, weighted
-    order = np.argsort(f, kind="stable")
-    f, logs = f[order], logs[order]
+    f, logs = _by_floor(f, logs)
     tb = min(len(Ns), _MEET_TARGETS)
     rows = max(1, _MEET_CHUNK // tb)
 
@@ -500,10 +527,9 @@ def _meet(f: np.ndarray, logs: np.ndarray, Ns: np.ndarray,
         s_min = pm.s_min
         meet_counts(s_min, np.pad(pm.counts, tb))
         pw = np.pad(pm.weights, tb)
-    # Rounding is monotone: top bounds every product, small every nonzero one.
-    top = float(logs.max()) * float(pw.max())
-    small = float(logs.min()) * float(np.min(pw, where=pw > 0, initial=np.inf))
-    units = _slice_units(top, small, len(f))
+    units = _slice_units(len(f), logs, pw)
+    if units is None:
+        raise InvalidParameter("weighted products must be finite and below 2^970")
     for targets, wv, runs in blocks(s_min, pw):
         acc = np.zeros((len(units), targets.stop - targets.start))
         for i, starts in runs:
@@ -565,7 +591,11 @@ def scan_band(
     """count_ternary_mitm for every N in [N_lo, N_hi], as columns.
 
     Without pair_map, builds one pair table holding only the sums up to
-    N_hi - min f, and none when no triple reaches the band.
+    N_hi - min f, and none when no triple reaches the band. The rows of
+    values may come in any order. Each weighted count is math.fsum of the
+    products of log p_3 and the pair table's weight of N - f(p_3), for any
+    finite logs whose products stay below 2^970; other logs raise
+    InvalidParameter (see _meet).
     """
     logs = log_weights(values, logs)
     N_lo, N_hi = int(N_lo), int(N_hi)
@@ -578,19 +608,20 @@ def scan_band(
 
 
 def find_binary(values: ValueTable, N: int) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest ordered pair (p1, p2) with f(p1)+f(p2) = N."""
-    f = values.f
-    n = len(f)
-    if n == 0:
-        return None
-    fmin = int(f[0])
-    for i in range(n):
+    """Lexicographically smallest ordered pair (p1, p2) with f(p1)+f(p2) = N.
+
+    The rows may come in any order: sorted by floor (_by_floor), the pair
+    with the smallest f(p1) is found first, which is the smallest p1
+    wherever f increases with p, as it does on every window.
+    """
+    f, ns = _by_floor(values.f, values.n)
+    for i in range(len(f)):
         need = N - int(f[i])
-        if need < fmin:
+        if need < int(f[0]):
             break  # f ascending, need only shrinks from here
         j = int(np.searchsorted(f, need, side="left"))
-        if j < n and int(f[j]) == need:
-            return int(values.n[i]), int(values.n[j])
+        if j < len(f) and int(f[j]) == need:
+            return int(ns[i]), int(ns[j])
     return None
 
 

@@ -253,22 +253,28 @@ def test_no_pool_thread_outlives_main(capsys, monkeypatch):
 
 
 def test_pool_hands_out_each_item_once_under_contention():
-    # eight pool threads on two CPUs, switching every microsecond: every item
-    # runs exactly once and its result lands at its index; after failures
-    # the first failing item's exception is raised and no thread is left
+    # eight pool threads switching every microsecond, each square handing the
+    # GIL on as numpy's loops do: every item runs exactly once and its result
+    # lands at its index; after failures on two threads at once (items 700
+    # and 701 wait for each other) the first failing item's exception is
+    # raised and no thread is left
     import threading
 
     from tanprimes import pool
 
     runs = [0] * 3000
     names = set()
+    both = threading.Barrier(2, timeout=10)
 
     def square(i):
         runs[i] += 1  # one item, one thread: a lost update would show
         names.add(threading.current_thread().name)
+        time.sleep(0)
         return i * i
 
     def fail_from_700(i):
+        if i in (700, 701):
+            both.wait()
         if i >= 700:
             raise ValueError(i)
         return i

@@ -425,11 +425,16 @@ def test_classical_pair_map_bits_equal_untruncated(monkeypatch):
     assert dropped == [2, 0]
 
 
+def _shuffled(table):
+    # the rows of table in a fixed random order, and that order
+    perm = np.random.default_rng(3).permutation(len(table))
+    return type(table)(n=table.n[perm], f=table.f[perm], frac=table.frac[perm],
+                       certified=table.certified[perm]), perm
+
+
 def test_scan_unordered_table(table2, block2, w2):
     # value_table over several windows is not ascending; the meet sorts it
-    perm = np.random.default_rng(3).permutation(len(table2))
-    shuffled = type(table2)(n=table2.n[perm], f=table2.f[perm],
-                            frac=table2.frac[perm], certified=table2.certified[perm])
+    shuffled, perm = _shuffled(table2)
     logs = block2.logs[perm]
     assert np.any(np.diff(shuffled.f) < 0)
     N_lo, N_hi = w2.n_star - 4, w2.n_star + 4
@@ -473,10 +478,53 @@ def test_meet_bits_equal_fsum(request, table3, block3, w3, table_kind):
     assert products > 2 * repcount._MEET_CHUNK  # the band spans several chunks
 
 
+@pytest.mark.parametrize("weights", ["one negative", "30% zero"])
+def test_meet_bits_equal_fsum_for_any_finite_weights(table2, block2, w2, weights):
+    # the slice units bound the products' magnitudes: a negative weight, or
+    # a zero one, must not lower the units below the products' last bits
+    logs = block2.logs.copy()
+    if weights == "one negative":
+        logs[len(logs) // 2] = -1e6
+    else:
+        logs[np.random.default_rng(5).permutation(len(logs))[:len(logs) * 3 // 10]] = 0.0
+    f = table2.f
+    N_lo, N_hi = w2.n_star - 300, w2.n_star
+    pm = repcount._pair_map_from_arrays(f, logs, N_hi - 3 * int(f[0]) + 1)
+    scan = scan_band(table2, logs, N_lo, N_hi)
+    for N, weighted in zip(scan.N.tolist(), scan.weighted.tolist()):
+        assert weighted.hex() == math.fsum(_slice_products(f, logs, pm, N)).hex(), N
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_meet_refuses_weights_too_large_to_slice(table2, block2, w2, scale):
+    # products past 2^970 (or not finite once the table overflows) cannot be
+    # cut into exact slices
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidParameter, match="2\\^970"):
+            scan_band(table2, block2.logs * scale, w2.n_star - 10, w2.n_star)
+
+
+def test_slice_units_bound_the_products():
+    # from the factors' largest magnitudes and their smallest nonzero ones,
+    # of either sign: products from 2^-21 to 3 * 2^10, in 49-bit slices
+    units = repcount._slice_units(4, np.array([0.0, -3.0, 0.5]),
+                                  np.array([-2.0 ** 10, 0.0, 2.0 ** -20]))
+    assert list(units) == [-24, -73]
+    # a product of the smallest magnitudes that underflows: 2^-1074 divides every float
+    assert repcount._slice_units(2, np.array([1e-200, 1.0]), np.array([1e-200, 1.0]))[-1] == -1074
+    assert list(repcount._slice_units(3, np.zeros(4))) == [0]
+    long = np.ones(3 * repcount._SCAN_CHUNK)   # the last scan chunk decides
+    long[-1] = 2.0 ** -30
+    assert repcount._slice_units(2, long)[-1] == -30 - 52
+    for bad in (np.inf, -np.inf, np.nan, 2.0 ** 970):
+        long[-1] = bad
+        assert repcount._slice_units(2, long) is None, bad
+    assert repcount._slice_units(1, np.array([2.0 ** 500]), np.array([-2.0 ** 470])) is None
+
+
 def _units(x):
-    # the meet's slice units for the columns of x: from x's extremes and row count
-    return repcount._slice_units(float(x.max()), float(np.min(x, where=x > 0, initial=np.inf)),
-                                 len(x))
+    # the meet's slice units for the columns of x: from x's magnitudes and row count
+    return repcount._slice_units(len(x), x)
 
 
 def _column_fsums(x):
@@ -497,16 +545,24 @@ def test_exact_sums_where_plain_sums_fail():
         [0.0, 0.0],
         [0.1] * 10,
     ]
+    mixed = [
+        [-1e30, 1.0, 1e30, -2.0 ** -1000],                 # cancellation to 1
+        [2.0 ** 53, -1.0, 2.0 ** -60],                     # a tie broken below it
+    ]
     rng = np.random.default_rng(17)
     for size in (1, 2, 5, 40, 700):
         segments.append((rng.random(size) * 2.0 ** rng.integers(-80, 80, size)).tolist())
-    x = np.zeros((max(map(len, segments)), len(segments)))  # one segment a column
-    for j, seg in enumerate(segments):
-        x[:len(seg), j] = seg
-    got = _column_fsums(x)
+    for size in (2, 5, 40, 700):
+        mixed.append((rng.choice([-1.0, 1.0], size) * rng.random(size)
+                      * 2.0 ** rng.integers(-80, 80, size)).tolist())
     assert np.sum(segments[0]) != math.fsum(segments[0])
-    for g, seg in zip(got.tolist(), segments):
-        assert g.hex() == math.fsum(seg).hex(), seg[:3]
+    # the columns as they are, all negated, and of mixed signs
+    for cols in (segments, [[-v for v in seg] for seg in segments], mixed):
+        x = np.zeros((max(map(len, cols)), len(cols)))  # one segment a column
+        for j, seg in enumerate(cols):
+            x[:len(seg), j] = seg
+        for g, seg in zip(_column_fsums(x).tolist(), cols):
+            assert g.hex() == math.fsum(seg).hex(), seg[:3]
 
 
 def test_slice_join_rounds_once():
@@ -846,6 +902,39 @@ def test_find_binary_lexicographic(table2, block2, w2):
 
 def test_find_binary_none(table2, block2):
     assert find_binary(table2, 3) is None
+
+
+def test_find_binary_unordered_table(table2):
+    # test_find_binary_lexicographic's loop over the ascending table, run once
+    # for every N: its first pair at each sum
+    brute = {}
+    for i in range(len(table2)):
+        for j in range(len(table2)):
+            brute.setdefault(int(table2.f[i] + table2.f[j]), (int(table2.n[i]), int(table2.n[j])))
+    shuffled, _ = _shuffled(table2)
+    lo, hi = 2 * int(table2.f.min()), 2 * int(table2.f.max())
+    assert len(brute) > 1000
+    for N in range(lo - 1, hi + 2):
+        assert find_binary(shuffled, N) == brute.get(N), N
+
+
+def test_pair_map_of_unordered_table(table2, block2, pairmap2):
+    shuffled, perm = _shuffled(table2)
+    pm = build_pair_map(shuffled, block2.logs[perm])
+    assert (pm.s_min, pm.n_primes) == (pairmap2.s_min, pairmap2.n_primes)
+    assert pm.counts.tobytes() == pairmap2.counts.tobytes()
+    assert pm.weights.tobytes() == pairmap2.weights.tobytes()
+
+
+def test_empty_table(table2):
+    empty = type(table2)(n=table2.n[:0], f=table2.f[:0], frac=table2.frac[:0],
+                         certified=table2.certified[:0])
+    scan = scan_band(empty, np.zeros(0), 100, 110)
+    assert scan.N.tolist() == list(range(100, 111))
+    assert scan.count.tolist() == [0] * 11 and scan.weighted.tolist() == [0.0] * 11
+    pm = build_pair_map(empty, np.zeros(0))
+    assert pm.n_primes == 0 and pm.counts.tolist() == [0] and pm.weights.tolist() == [0.0]
+    assert find_binary(empty, 0) is None
 
 
 def test_window_mismatch(table2, block2):
